@@ -3,6 +3,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "mem/line_state.hh"
+#include "mem/set_assoc_array.hh"
+
 namespace flexsnoop
 {
 
@@ -118,8 +121,14 @@ applyOverride(MachineConfig &config, const std::string &assignment)
         config.l2Entries = static_cast<std::size_t>(
             parseUnsignedAtLeast(key, value, 1));
     } else if (key == "l2_ways") {
-        config.l2Ways = static_cast<std::size_t>(
-            parseUnsignedAtLeast(key, value, 1));
+        const std::uint64_t ways = parseUnsignedAtLeast(key, value, 1);
+        if (ways > SetAssocArray<LineState>::kMaxWays) {
+            std::ostringstream oss;
+            oss << key << " must be at most "
+                << SetAssocArray<LineState>::kMaxWays << ", got " << ways;
+            throw std::invalid_argument(oss.str());
+        }
+        config.l2Ways = static_cast<std::size_t>(ways);
     } else if (key == "num_rings") {
         config.numRings = static_cast<std::size_t>(
             parseUnsignedAtLeast(key, value, 1));

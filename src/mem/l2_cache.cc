@@ -88,9 +88,7 @@ L2Cache::invalidate(Addr line, std::size_t set)
     if (!way)
         return LineState::Invalid;
     const LineState from = way->data;
-    way->valid = false;
-    way->tag = kInvalidAddr;
-    way->data = LineState{};
+    _array.eraseWay(set, *way);
     _invalidations.inc();
     notify(line, from, LineState::Invalid);
     return from;

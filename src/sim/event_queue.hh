@@ -288,8 +288,8 @@ class EventQueue
 
     /**
      * Reserve storage for @p events pending events. Meaningful for the
-     * heap; the wheel's buckets grow on first use and keep their
-     * capacity, so it reaches the same steady state on its own.
+     * heap; the wheel's entry arena grows to the peak number of pending
+     * events on its own and keeps that capacity.
      */
     void
     reserve(std::size_t events)

@@ -10,7 +10,11 @@
  * unlike unordered_map, which allocates a node per insert.
  *
  * Values are expected to be small and trivially movable (pointers,
- * ids). Erase uses tombstones; growth rehashes and drops them.
+ * ids). Erase uses backward-shift deletion: the entries after the
+ * erased slot that probed past it slide back, so no tombstones exist,
+ * every probe chain ends at a truly empty slot, and the table grows
+ * only with the live high-water mark, never with the number of
+ * inserts a run has churned through.
  */
 
 #ifndef FLEXSNOOP_SIM_FLAT_MAP_HH
@@ -40,6 +44,9 @@ class FlatMap
 
     std::size_t size() const { return _size; }
     bool empty() const { return _size == 0; }
+    /** Slots in the table (power of two; tracks the live high-water
+     *  mark). */
+    std::size_t capacity() const { return _ctrl.size(); }
 
     /** Pointer to the value for @p key, or nullptr. */
     V *
@@ -81,8 +88,6 @@ class FlatMap
         std::size_t i = hash(key) & (_ctrl.size() - 1);
         while (_ctrl[i] == kFull)
             i = (i + 1) & (_ctrl.size() - 1);
-        if (_ctrl[i] == kTombstone)
-            --_tombstones;
         _ctrl[i] = kFull;
         _keys[i] = key;
         _values[i] = V{};
@@ -94,12 +99,24 @@ class FlatMap
     bool
     erase(std::uint64_t key)
     {
-        const std::size_t i = findSlot(key);
-        if (i == kNotFound)
+        std::size_t hole = findSlot(key);
+        if (hole == kNotFound)
             return false;
-        _ctrl[i] = kTombstone;
-        _values[i] = V{};
-        ++_tombstones;
+        // Backward shift: walk the rest of the probe run and pull back
+        // every entry whose home slot does not lie cyclically in
+        // (hole, j] -- i.e. whose probe passed over the hole.
+        const std::size_t mask = _ctrl.size() - 1;
+        for (std::size_t j = (hole + 1) & mask; _ctrl[j] == kFull;
+             j = (j + 1) & mask) {
+            const std::size_t home = hash(_keys[j]) & mask;
+            if (((j - home) & mask) < ((j - hole) & mask))
+                continue;
+            _keys[hole] = _keys[j];
+            _values[hole] = std::move(_values[j]);
+            hole = j;
+        }
+        _ctrl[hole] = kEmpty;
+        _values[hole] = V{};
         --_size;
         return true;
     }
@@ -110,7 +127,6 @@ class FlatMap
     {
         _ctrl.assign(_ctrl.size(), kEmpty);
         _size = 0;
-        _tombstones = 0;
     }
 
     /** Visit every (key, value) pair; iteration order is unspecified. */
@@ -127,7 +143,6 @@ class FlatMap
   private:
     static constexpr std::uint8_t kEmpty = 0;
     static constexpr std::uint8_t kFull = 1;
-    static constexpr std::uint8_t kTombstone = 2;
     static constexpr std::size_t kNotFound = ~std::size_t{0};
 
     /** splitmix64 finalizer: cheap and well-distributed for ids and
@@ -146,8 +161,8 @@ class FlatMap
     {
         const std::size_t mask = _ctrl.size() - 1;
         std::size_t i = hash(key) & mask;
-        while (_ctrl[i] != kEmpty) {
-            if (_ctrl[i] == kFull && _keys[i] == key)
+        while (_ctrl[i] == kFull) {
+            if (_keys[i] == key)
                 return i;
             i = (i + 1) & mask;
         }
@@ -157,7 +172,7 @@ class FlatMap
     void
     maybeGrow()
     {
-        if ((_size + _tombstones + 1) * 10 < _ctrl.size() * 7)
+        if ((_size + 1) * 10 < _ctrl.size() * 7)
             return;
         std::vector<std::uint8_t> old_ctrl = std::move(_ctrl);
         std::vector<std::uint64_t> old_keys = std::move(_keys);
@@ -167,7 +182,6 @@ class FlatMap
         _keys.resize(cap);
         _values.resize(cap);
         _size = 0;
-        _tombstones = 0;
         for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
             if (old_ctrl[i] != kFull)
                 continue;
@@ -185,7 +199,6 @@ class FlatMap
     std::vector<std::uint64_t> _keys;
     std::vector<V> _values;
     std::size_t _size = 0;
-    std::size_t _tombstones = 0;
 };
 
 } // namespace flexsnoop

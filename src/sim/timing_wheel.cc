@@ -25,10 +25,8 @@ roundUpPow2(std::size_t n)
 TimingWheel::TimingWheel(std::size_t near_buckets)
 {
     configure(near_buckets);
-    for (std::size_t l = 0; l < kOverflowLevels; ++l) {
-        _over[l].resize(kOverflowSlots);
-        _overMap[l].assign(kOverflowSlots / 64, 0);
-    }
+    for (auto &map : _overMap)
+        map.assign(kOverflowSlots / 64, 0);
 }
 
 void
@@ -43,12 +41,10 @@ TimingWheel::configure(std::size_t near_buckets)
     _nearSize = n;
     _nearMask = n - 1;
     _nearBits = static_cast<unsigned>(std::countr_zero(n));
-    _near.clear();
-    _near.resize(n);
+    _near.assign(n, Bucket{});
     _nearMap.assign(n / 64, 0);
     _w0 = 0;
     _curSlot = 0;
-    _head = 0;
     _scan.fill(kOverflowSlots);
     _minValid = false;
 }
@@ -86,10 +82,8 @@ TimingWheel::scanFrom(const std::vector<std::uint64_t> &bm,
 void
 TimingWheel::resetTo(Cycle now)
 {
-    assert(_size == 0);
     _w0 = now & ~static_cast<Cycle>(_nearMask);
     _curSlot = static_cast<std::size_t>(now & _nearMask);
-    _head = 0;
     // The overflow bucket containing `now` at each level can never be
     // occupied (any cycle inside it is also inside a lower level's
     // window), so scanning may safely start one past it.
@@ -101,62 +95,104 @@ TimingWheel::resetTo(Cycle now)
 }
 
 TimingWheel::Bucket &
-TimingWheel::bucketAt(const Loc &loc)
+TimingWheel::bucketAt(std::uint8_t level, std::uint16_t slot)
 {
-    if (loc.level == 0)
-        return _near[loc.slot];
-    if (loc.level == kFarLevel)
+    if (level == 0)
+        return _near[slot];
+    if (level == kFarLevel)
         return _far;
-    return _over[loc.level - 1][loc.slot];
+    return _over[level - 1][slot];
+}
+
+std::uint32_t
+TimingWheel::allocate(WheelEntry &&entry)
+{
+    if (_free != kNil) {
+        const std::uint32_t idx = _free;
+        Node &node = _arena[idx];
+        _free = node.next;
+        node.entry = std::move(entry);
+        return idx;
+    }
+    assert(_arena.size() < kNil);
+    _arena.push_back(Node{std::move(entry)});
+    return static_cast<std::uint32_t>(_arena.size() - 1);
 }
 
 void
-TimingWheel::insertSorted(Bucket &bucket, std::uint8_t level,
-                          std::uint16_t slot, WheelEntry &&entry)
+TimingWheel::insertSorted(std::uint8_t level, std::uint16_t slot,
+                          std::uint32_t idx)
 {
+    Bucket &bucket = bucketAt(level, slot);
     if (level == 0)
         setBit(_nearMap, slot);
     else if (level != kFarLevel)
         setBit(_overMap[level - 1], slot);
 
-    // Entries already fired out of the current near bucket must stay
-    // ahead of any (re)insertion, whatever its seq.
-    const std::size_t floor =
-        (level == 0 && slot == _curSlot) ? _head : 0;
-    std::size_t pos = bucket.size();
-    while (pos > floor && bucket[pos - 1].seqTag > entry.seqTag)
-        --pos;
-
-    const bool tagged = entry.tagged();
-    const std::uint64_t seq = entry.seq();
-    if (pos == bucket.size()) {
-        bucket.push_back(std::move(entry));
+    Node &node = _arena[idx];
+    node.level = level;
+    node.slot = slot;
+    const std::uint64_t key = node.entry.seqTag;
+    if (bucket.tail == kNil) {
+        node.next = kNil;
+        bucket.head = bucket.tail = idx;
+    } else if (_arena[bucket.tail].entry.seqTag < key) {
+        node.next = kNil;
+        _arena[bucket.tail].next = idx;
+        bucket.tail = idx;
     } else {
         // Rare: only a rescheduled (old-seq) entry lands mid-bucket.
-        bucket.insert(bucket.begin() + pos, std::move(entry));
-        for (std::size_t i = pos + 1; i < bucket.size(); ++i) {
-            if (bucket[i].tagged())
-                _tagged.find(bucket[i].seq())->pos =
-                    static_cast<std::uint32_t>(i);
+        // The tail's seq exceeds it, so the walk stops before the end.
+        std::uint32_t prev = kNil;
+        std::uint32_t cur = bucket.head;
+        while (_arena[cur].entry.seqTag < key) {
+            prev = cur;
+            cur = _arena[cur].next;
         }
+        node.next = cur;
+        if (prev == kNil)
+            bucket.head = idx;
+        else
+            _arena[prev].next = idx;
     }
-    if (tagged)
-        _tagged.put(seq, Loc{level, slot,
-                             static_cast<std::uint32_t>(pos)});
-    if (bucket.size() > _maxBucketDepth)
-        _maxBucketDepth = bucket.size();
+    if (++bucket.depth > _maxBucketDepth)
+        _maxBucketDepth = bucket.depth;
+}
+
+void
+TimingWheel::unlink(std::uint32_t idx)
+{
+    const Node &node = _arena[idx];
+    Bucket &bucket = bucketAt(node.level, node.slot);
+    std::uint32_t prev = kNil;
+    for (std::uint32_t cur = bucket.head; cur != idx;
+         cur = _arena[cur].next) {
+        assert(cur != kNil && "entry not in its bucket");
+        prev = cur;
+    }
+    if (prev == kNil)
+        bucket.head = node.next;
+    else
+        _arena[prev].next = node.next;
+    if (bucket.tail == idx)
+        bucket.tail = prev;
+    --bucket.depth;
+    if (bucket.head != kNil)
+        return;
+    if (node.level == 0)
+        clrBit(_nearMap, node.slot);
+    else if (node.level != kFarLevel)
+        clrBit(_overMap[node.level - 1], node.slot);
 }
 
 std::uint8_t
-TimingWheel::place(WheelEntry &&entry)
+TimingWheel::place(std::uint32_t idx)
 {
-    const Cycle when = entry.when;
+    const Cycle when = _arena[idx].entry.when;
     assert(when >= _w0 + _curSlot);
 
     if ((when >> _nearBits) == (_w0 >> _nearBits)) {
-        const auto slot =
-            static_cast<std::uint16_t>(when & _nearMask);
-        insertSorted(_near[slot], 0, slot, std::move(entry));
+        insertSorted(0, static_cast<std::uint16_t>(when & _nearMask), idx);
         return 0;
     }
     for (std::size_t l = 1; l <= kOverflowLevels; ++l) {
@@ -165,13 +201,11 @@ TimingWheel::place(WheelEntry &&entry)
             (_w0 >> (g + kOverflowBits))) {
             const auto slot = static_cast<std::uint16_t>(
                 (when >> g) & (kOverflowSlots - 1));
-            insertSorted(_over[l - 1][slot],
-                         static_cast<std::uint8_t>(l), slot,
-                         std::move(entry));
+            insertSorted(static_cast<std::uint8_t>(l), slot, idx);
             return static_cast<std::uint8_t>(l);
         }
     }
-    insertSorted(_far, kFarLevel, 0, std::move(entry));
+    insertSorted(kFarLevel, 0, idx);
     return kFarLevel;
 }
 
@@ -191,7 +225,12 @@ TimingWheel::insert(Cycle now, WheelEntry entry)
             std::bit_width(entry.when - now));
         ++_horizon[w < kHorizonBuckets ? w : kHorizonBuckets - 1];
     }
-    const std::uint8_t level = place(std::move(entry));
+    const bool tagged = entry.tagged();
+    const std::uint64_t seq = entry.seq();
+    const std::uint32_t idx = allocate(std::move(entry));
+    if (tagged)
+        _tagged.put(seq, idx);
+    const std::uint8_t level = place(idx);
     if (level != 0) {
         ++_overflowScheduled;
         if (level == kFarLevel)
@@ -222,21 +261,13 @@ TimingWheel::refillFromOverflow()
         // windows begin at slot 0.
         _w0 = bucket_start;
         _curSlot = 0;
-        _head = 0;
         for (std::size_t j = 1; j < l; ++j)
             _scan[j - 1] = 0;
 
-        Bucket moved;
-        moved.swap(_over[l - 1][s]);
         clrBit(map, s);
-        ++_cascades;
-        _cascadedEntries += moved.size();
         // Entries are seq-sorted, so each target bucket receives an
         // in-order (appending) run.
-        for (auto &e : moved)
-            place(std::move(e));
-        moved.clear();
-        _over[l - 1][s] = std::move(moved); // hand the capacity back
+        refile(std::exchange(_over[l - 1][s], Bucket{}));
         return true;
     }
     return false;
@@ -245,42 +276,33 @@ TimingWheel::refillFromOverflow()
 void
 TimingWheel::redistributeFar()
 {
-    assert(!_far.empty());
-    Cycle min_when = _far.front().when;
-    for (const WheelEntry &e : _far)
-        min_when = e.when < min_when ? e.when : min_when;
-
-    Bucket old;
-    old.swap(_far);
+    assert(_far.head != kNil);
+    const Cycle min_when = bucketMin(_far);
+    const Bucket old = std::exchange(_far, Bucket{});
     // Everything pending lives in `old`, so the wheel proper is empty
     // and may be re-anchored at the earliest far cycle. At least that
     // entry re-files into the near wheel; stragglers beyond the last
     // level return to the (fresh) far list in their original order.
-    _w0 = min_when & ~static_cast<Cycle>(_nearMask);
-    _curSlot = static_cast<std::size_t>(min_when & _nearMask);
-    _head = 0;
-    for (std::size_t l = 1; l <= kOverflowLevels; ++l)
-        _scan[l - 1] =
-            static_cast<std::size_t>((min_when >> granShift(l)) &
-                                     (kOverflowSlots - 1)) +
-            1;
+    resetTo(min_when);
+    refile(old);
+}
+
+void
+TimingWheel::refile(const Bucket &list)
+{
     ++_cascades;
-    _cascadedEntries += old.size();
-    for (auto &e : old)
-        place(std::move(e));
+    _cascadedEntries += list.depth;
+    for (std::uint32_t i = list.head; i != kNil;) {
+        const std::uint32_t next = _arena[i].next;
+        place(i);
+        i = next;
+    }
 }
 
 bool
 TimingWheel::advanceToPending()
 {
-    while (true) {
-        Bucket &bucket = _near[_curSlot];
-        if (_head < bucket.size())
-            return true;
-        bucket.clear();
-        clrBit(_nearMap, _curSlot);
-        _head = 0;
-
+    while (_near[_curSlot].head == kNil) {
         const std::size_t s =
             scanFrom(_nearMap, _curSlot + 1, _nearSize);
         if (s != kNotFound) {
@@ -289,10 +311,11 @@ TimingWheel::advanceToPending()
         }
         if (refillFromOverflow())
             continue;
-        if (_far.empty())
+        if (_far.head == kNil)
             return false;
         redistributeFar();
     }
+    return true;
 }
 
 WheelEntry
@@ -304,22 +327,26 @@ TimingWheel::pop()
     (void)ok;
 
     Bucket &bucket = _near[_curSlot];
-    WheelEntry entry = std::move(bucket[_head]);
+    const std::uint32_t idx = bucket.head;
+    Node &node = _arena[idx];
+    WheelEntry entry = std::move(node.entry);
     assert(entry.when == _w0 + _curSlot);
-    ++_head;
+    bucket.head = node.next;
+    --bucket.depth;
+    node.next = _free;
+    _free = idx;
     --_size;
     if (entry.tagged())
         _tagged.erase(entry.seq());
-    if (_head < bucket.size()) {
+    if (bucket.head != kNil) {
         _minCached = entry.when;
         _minValid = true;
     } else {
-        // Retire the drained bucket eagerly so an empty wheel is also
-        // structurally empty (resetTo() and re-anchoring rely on it)
-        // and consumed callables are destroyed promptly.
-        bucket.clear();
+        // An empty bucket never keeps its occupancy bit, so an empty
+        // wheel is also structurally empty (resetTo() and re-anchoring
+        // rely on it).
+        bucket.tail = kNil;
         clrBit(_nearMap, _curSlot);
-        _head = 0;
         _minValid = false;
     }
     return entry;
@@ -337,11 +364,23 @@ TimingWheel::minPending() const
 }
 
 Cycle
+TimingWheel::bucketMin(const Bucket &bucket) const
+{
+    assert(bucket.head != kNil);
+    Cycle min_when = _arena[bucket.head].entry.when;
+    for (std::uint32_t i = bucket.head; i != kNil; i = _arena[i].next) {
+        const Cycle when = _arena[i].entry.when;
+        min_when = when < min_when ? when : min_when;
+    }
+    return min_when;
+}
+
+Cycle
 TimingWheel::recomputeMin() const
 {
-    // The current near bucket, if it still holds unconsumed entries,
-    // is by construction the earliest cycle.
-    if (_head < _near[_curSlot].size())
+    // The current near bucket, if it still holds entries, is by
+    // construction the earliest cycle.
+    if (_near[_curSlot].head != kNil)
         return _w0 + _curSlot;
     std::size_t s = scanFrom(_nearMap, _curSlot + 1, _nearSize);
     if (s != kNotFound)
@@ -351,63 +390,31 @@ TimingWheel::recomputeMin() const
     // bucket spans a cycle range and must be scanned for the minimum.
     for (std::size_t l = 1; l <= kOverflowLevels; ++l) {
         s = scanFrom(_overMap[l - 1], _scan[l - 1], kOverflowSlots);
-        if (s == kNotFound)
-            continue;
-        const Bucket &bucket = _over[l - 1][s];
-        assert(!bucket.empty());
-        Cycle min_when = bucket.front().when;
-        for (const WheelEntry &e : bucket)
-            min_when = e.when < min_when ? e.when : min_when;
-        return min_when;
+        if (s != kNotFound)
+            return bucketMin(_over[l - 1][s]);
     }
-    assert(!_far.empty());
-    Cycle min_when = _far.front().when;
-    for (const WheelEntry &e : _far)
-        min_when = e.when < min_when ? e.when : min_when;
-    return min_when;
+    return bucketMin(_far);
 }
 
 bool
 TimingWheel::reschedule(std::uint64_t seq, Cycle now, Cycle when,
                         EventFn fn)
 {
-    Loc *lp = _tagged.find(seq);
-    if (!lp)
+    const std::uint32_t *slot = _tagged.find(seq);
+    if (!slot)
         return false;
-    const Loc loc = *lp;
-    Bucket &bucket = bucketAt(loc);
-    assert(loc.pos < bucket.size());
-    WheelEntry entry = std::move(bucket[loc.pos]);
-    assert(entry.seq() == seq && entry.tagged());
+    const std::uint32_t idx = *slot;
+    assert(_arena[idx].entry.seq() == seq && _arena[idx].entry.tagged());
+    unlink(idx);
 
-    bucket.erase(bucket.begin() + loc.pos);
-    for (std::size_t i = loc.pos; i < bucket.size(); ++i) {
-        if (bucket[i].tagged())
-            _tagged.find(bucket[i].seq())->pos =
-                static_cast<std::uint32_t>(i);
-    }
-    if (bucket.empty()) {
-        // Keep the current near bucket's bit for advanceToPending to
-        // retire; every other emptied bucket must drop its occupancy
-        // bit or scans would land on it.
-        if (loc.level == 0) {
-            if (loc.slot != _curSlot)
-                clrBit(_nearMap, loc.slot);
-        } else if (loc.level != kFarLevel) {
-            clrBit(_overMap[loc.level - 1], loc.slot);
-        }
-    }
-    _tagged.erase(seq);
-
+    WheelEntry &entry = _arena[idx].entry;
     entry.when = when;
     entry.fn = std::move(fn);
     if (_size == 1) {
         // The wheel is structurally empty now; re-anchor tight.
-        --_size;
         resetTo(now);
-        ++_size;
     }
-    place(std::move(entry));
+    place(idx);
     _minValid = false;
     return true;
 }
@@ -415,17 +422,16 @@ TimingWheel::reschedule(std::uint64_t seq, Cycle now, Cycle when,
 void
 TimingWheel::clear()
 {
-    for (Bucket &b : _near)
-        b.clear();
+    _arena.clear();
+    _free = kNil;
+    _near.assign(_near.size(), Bucket{});
     for (auto &level : _over)
-        for (Bucket &b : level)
-            b.clear();
-    _far.clear();
+        level.fill(Bucket{});
+    _far = Bucket{};
     _nearMap.assign(_nearMap.size(), 0);
     for (auto &map : _overMap)
         map.assign(map.size(), 0);
     _size = 0;
-    _head = 0;
     _curSlot = 0;
     _w0 = 0;
     _scan.fill(kOverflowSlots);

@@ -11,13 +11,19 @@
  * sequence counter, so execution order — (cycle, seq) strict — is
  * bit-identical to a binary min-heap over the same entries.
  *
+ * Entries live in one arena with a free list; a bucket is an intrusive
+ * singly linked FIFO (32-bit head/tail indices, a next index per
+ * entry). Storage is therefore bounded by the peak number of live
+ * events, not by the sum of every bucket's high-water mark, and a
+ * cascade relinks indices instead of moving entries.
+ *
  * Occupancy bitmaps per level make the "next non-empty bucket" scan a
  * handful of word operations, so draining across empty cycle stretches
  * costs O(horizon / 64) words instead of O(horizon) buckets.
  *
- * A seq->location index over *tagged* entries (the express path's
- * retirement events) makes reschedule() an O(1) lookup instead of the
- * heap's O(n) scan.
+ * A seq->arena-slot index over *tagged* entries (the express path's
+ * retirement events) makes reschedule() an O(1) lookup plus an
+ * O(bucket) unlink instead of the heap's O(n) scan.
  */
 
 #ifndef FLEXSNOOP_SIM_TIMING_WHEEL_HH
@@ -41,7 +47,7 @@ struct WheelEntry
     Cycle when;
     /** (seq << 1) | tagged. The tag rides in the low bit so the packed
      *  word orders exactly as seq does (seqs are unique), keeping the
-     *  entry at 88 bytes — bucket traffic is the wheel's main cost. */
+     *  entry at 96 bytes. */
     std::uint64_t seqTag;
     EventFn fn;
 
@@ -99,13 +105,17 @@ class TimingWheel
      * Retarget the pending *tagged* entry @p seq to fire at @p when
      * running @p fn, keeping its sequence number (and therefore its
      * FIFO rank against same-cycle events). O(1) index lookup plus an
-     * O(bucket) splice. @return false when no pending entry carries
-     * @p seq.
+     * O(bucket) unlink and relink. @return false when no pending entry
+     * carries @p seq.
      */
     bool reschedule(std::uint64_t seq, Cycle now, Cycle when, EventFn fn);
 
-    /** Drop all entries; bucket capacities are retained for reuse. */
+    /** Drop all entries; the arena's capacity is retained for reuse. */
     void clear();
+
+    /** Entry slots the arena holds: the peak number of events pending
+     *  at once since construction or the last clear(). */
+    std::size_t arenaSlots() const { return _arena.size(); }
 
     // Self-measurement (docs/METRICS.md "queue.*") --------------------
 
@@ -113,7 +123,7 @@ class TimingWheel
     std::uint64_t cascades() const { return _cascades; }
     /** Entries re-filed by those cascades. */
     std::uint64_t cascadedEntries() const { return _cascadedEntries; }
-    /** High-water mark of any single bucket's depth. */
+    /** High-water mark of the pending entries in any single bucket. */
     std::uint64_t maxBucketDepth() const { return _maxBucketDepth; }
     /** Inserts that missed the near wheel (validates sizing). */
     std::uint64_t overflowScheduled() const { return _overflowScheduled; }
@@ -132,16 +142,25 @@ class TimingWheel
     const HorizonHistogram &horizonHistogram() const { return _horizon; }
 
   private:
-    using Bucket = std::vector<WheelEntry>;
-
-    /** Where a tagged entry currently lives. */
-    struct Loc
-    {
-        std::uint8_t level;  ///< 0 near, 1..3 overflow, 4 far
-        std::uint16_t slot;  ///< bucket index within the level
-        std::uint32_t pos;   ///< position within the bucket
-    };
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
     static constexpr std::uint8_t kFarLevel = kOverflowLevels + 1;
+
+    /** An arena slot: a pending entry, its list link and its bucket. */
+    struct Node
+    {
+        WheelEntry entry;
+        std::uint32_t next = kNil; ///< next in bucket, or in free list
+        std::uint16_t slot = 0;    ///< bucket index within the level
+        std::uint8_t level = 0;    ///< 0 near, 1..3 overflow, kFarLevel
+    };
+
+    /** Seq-sorted FIFO list of arena slots. */
+    struct Bucket
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::uint32_t depth = 0; ///< entries linked
+    };
 
     /** Granularity shift of overflow level @p l (1-based). */
     unsigned
@@ -152,20 +171,31 @@ class TimingWheel
 
     Cycle nearWindowEnd() const { return _w0 + _nearSize; }
 
-    Bucket &bucketAt(const Loc &loc);
+    Bucket &bucketAt(std::uint8_t level, std::uint16_t slot);
 
-    /** File @p entry into the level its cycle belongs to, keeping the
-     *  target bucket seq-sorted. Does not touch _size. @return the
-     *  level chosen (0 near, 1..3 overflow, kFarLevel). */
-    std::uint8_t place(WheelEntry &&entry);
+    /** Take a free arena slot (or grow the arena) and move @p entry
+     *  into it. */
+    std::uint32_t allocate(WheelEntry &&entry);
 
-    /** Seq-sorted insert into one bucket (append in the common case). */
-    void insertSorted(Bucket &bucket, std::uint8_t level,
-                      std::uint16_t slot, WheelEntry &&entry);
+    /** File arena slot @p idx into the level its cycle belongs to,
+     *  keeping the target bucket seq-sorted. Does not touch _size.
+     *  @return the level chosen (0 near, 1..3 overflow, kFarLevel). */
+    std::uint8_t place(std::uint32_t idx);
+
+    /** Seq-sorted link into one bucket (append in the common case). */
+    void insertSorted(std::uint8_t level, std::uint16_t slot,
+                      std::uint32_t idx);
+
+    /** Unlink arena slot @p idx from its bucket, clearing the bucket's
+     *  occupancy bit when it empties. */
+    void unlink(std::uint32_t idx);
+
+    /** Earliest cycle among the entries of @p bucket. */
+    Cycle bucketMin(const Bucket &bucket) const;
 
     /** Advance _curSlot (cascading overflow levels and the far list as
-     *  needed) until the current near bucket holds an unconsumed
-     *  entry. @return false when the wheel is empty. */
+     *  needed) until the current near bucket holds an entry.
+     *  @return false when the wheel is empty. */
     bool advanceToPending();
 
     /** Cascade the next occupied overflow bucket down one level and
@@ -173,11 +203,16 @@ class TimingWheel
      *  every overflow level is exhausted. */
     bool refillFromOverflow();
 
-    /** Re-anchor an empty wheel at @p now. */
+    /** Re-anchor the wheel at @p now. Every bucket and the far list
+     *  must be empty (the entries, if any, are detached). */
     void resetTo(Cycle now);
 
     /** Re-file far-list entries that fit the (re-anchored) levels. */
     void redistributeFar();
+
+    /** Cascade step: re-file every entry of the detached @p list by
+     *  relinking it into the level its cycle now belongs to. */
+    void refile(const Bucket &list);
 
     Cycle recomputeMin() const;
 
@@ -192,8 +227,11 @@ class TimingWheel
     std::size_t _nearSize = 256;
     std::size_t _nearMask = 255;
 
+    std::vector<Node> _arena;
+    std::uint32_t _free = kNil; ///< free-list head (LIFO)
+
     std::vector<Bucket> _near;
-    std::array<std::vector<Bucket>, kOverflowLevels> _over;
+    std::array<std::array<Bucket, kOverflowSlots>, kOverflowLevels> _over;
     Bucket _far; ///< seq-sorted; cycles beyond the last level
 
     std::vector<std::uint64_t> _nearMap;
@@ -201,13 +239,12 @@ class TimingWheel
 
     Cycle _w0 = 0;            ///< near window start (aligned)
     std::size_t _curSlot = 0; ///< near slot currently draining
-    std::size_t _head = 0;    ///< consumed prefix of _near[_curSlot]
     /** Next overflow slot to examine per level (256 = exhausted). */
     std::array<std::size_t, kOverflowLevels> _scan{};
 
     std::size_t _size = 0;
 
-    FlatMap<Loc> _tagged;
+    FlatMap<std::uint32_t> _tagged; ///< seq -> arena slot
 
     mutable bool _minValid = false;
     mutable Cycle _minCached = 0;

@@ -116,6 +116,9 @@ TEST(ConfigParser, DiagnosticsNameKeyAndPosition)
     EXPECT_NE(msg.find("'-'"), std::string::npos) << msg;
     EXPECT_NE(msg.find("position 0"), std::string::npos) << msg;
 
+    msg = errorFor("l2_ways=512"); // beyond the 8-bit LRU rank
+    EXPECT_NE(msg.find("at most 256"), std::string::npos) << msg;
+
     msg = errorFor("cmp_snoop_time=99999999999999999999999");
     EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
 

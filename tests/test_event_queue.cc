@@ -5,12 +5,14 @@
  * Every behavioural test runs against both scheduler implementations
  * (the default hierarchical timing wheel and the reference binary
  * heap); wheel-specific structure — cascades, the far list, sizing,
- * the horizon histogram — is covered separately, and a randomized
- * differential test drives both implementations with one script and
- * demands identical fire order.
+ * the horizon histogram, the entry arena's storage bound — is covered
+ * separately, and a randomized differential test drives both
+ * implementations with one script and demands identical fire order.
  */
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -584,6 +586,67 @@ TEST(QueueDifferential, WheelMatchesHeapOnRandomScript)
     EXPECT_EQ(wheel.now(), heap.now());
     ASSERT_EQ(wheel_order.size(), heap_order.size());
     EXPECT_EQ(wheel_order, heap_order);
+}
+
+TEST(TimingWheelQueue, ArenaStaysWithinPeakLiveEvents)
+{
+    // Churn 1M events through every level -- the near wheel, the three
+    // overflow levels and the far list -- and their cascades, while the
+    // live set swells and shrinks. Entry storage must stay bounded by
+    // the peak number of pending events, however many pass through.
+    EventQueue q(EventQueue::Impl::Wheel);
+    q.configureWheel(64);
+    const auto draw_delay = [](Rng &r) -> Cycle {
+        const std::uint64_t k = r.pick(1000);
+        if (k < 600)
+            return r.pick(64); // near
+        if (k < 900)
+            return 64 + r.pick(16'384); // overflow level 1
+        if (k < 990)
+            return 16'384 + r.pick(1u << 22); // levels 2 and 3
+        if (k < 998)
+            return (Cycle{1} << 22) + r.pick(Cycle{1} << 28); // level 3
+        return (Cycle{1} << 30) + r.pick(Cycle{1} << 32);    // far list
+    };
+
+    constexpr std::uint64_t kEvents = 1'000'000;
+    Rng rng;
+    std::uint64_t next_id = 0;
+    std::size_t peak = 0;
+    Cycle last_when = 0;
+    std::uint64_t last_id = 0;
+    std::uint64_t fired = 0;
+    bool ordered = true;
+    while (next_id < kEvents) {
+        // The live-set target sweeps 16..1024 and back every 64K ids.
+        const std::size_t target = 16 + ((next_id >> 10) % 64) * 16;
+        while (q.pending() < target && next_id < kEvents) {
+            const Cycle when = q.now() + draw_delay(rng);
+            const std::uint64_t id = next_id++;
+            q.scheduleAt(when, [&, when, id]() {
+                // (cycle, schedule order) strictly increasing.
+                ordered = ordered && q.now() == when &&
+                          (fired == 0 || when > last_when ||
+                           (when == last_when && id > last_id));
+                last_when = when;
+                last_id = id;
+                ++fired;
+            });
+            peak = std::max(peak, q.pending());
+        }
+        ASSERT_TRUE(q.step());
+    }
+    q.run();
+
+    EXPECT_TRUE(ordered);
+    EXPECT_EQ(fired, kEvents);
+    const TimingWheel &wheel = q.wheel();
+    EXPECT_GT(wheel.overflowScheduled(), 0u);
+    EXPECT_GT(wheel.farScheduled(), 0u);
+    EXPECT_GT(wheel.cascades(), 0u);
+    EXPECT_GT(wheel.cascadedEntries(), 0u);
+    EXPECT_GE(peak, 1024u);
+    EXPECT_LE(wheel.arenaSlots(), peak);
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include "core/simulation.hh"
 #include "snoop/snoop_policy.hh"
 #include "workload/synthetic_generator.hh"
+#include "temp_path.hh"
 
 namespace flexsnoop
 {
@@ -242,8 +243,8 @@ TEST(HardenedSweep, SerialAndParallelAreBitIdentical)
 TEST(HardenedSweep, CrashIsolationCheckpointAndResume)
 {
     const std::string checkpoint =
-        "/tmp/flexsnoop_fault_soak_checkpoint.csv";
-    const std::string dumpdir = "/tmp/flexsnoop_fault_soak_dumps";
+        testTempPath("fault_soak_checkpoint.csv");
+    const std::string dumpdir = testTempPath("fault_soak_dumps");
     std::remove(checkpoint.c_str());
     std::filesystem::remove_all(dumpdir);
 

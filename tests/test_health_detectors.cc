@@ -19,6 +19,7 @@
 #include "telemetry/health.hh"
 #include "telemetry/metrics_reader.hh"
 #include "workload/synthetic_generator.hh"
+#include "temp_path.hh"
 
 namespace flexsnoop
 {
@@ -271,7 +272,7 @@ TEST(HealthGroundTruth, RetryStormOnsetMatchesFaultSchedule)
     cfg.faults.startCycle = kFaultStart;
     cfg.coherence.watchdogCycles = 4000;
     cfg.coherence.maxRetries = 64;
-    cfg.metrics.path = "/tmp/flexsnoop_test_storm.fsmetrics";
+    cfg.metrics.path = testTempPath("storm.fsmetrics");
     cfg.metrics.intervalCycles = kInterval;
 
     const RunResult r = runSimulation(cfg, traces, profile.name);
@@ -293,7 +294,7 @@ TEST(HealthGroundTruth, PredictorDriftOnsetMatchesFaultSchedule)
     cfg.faults.predictorRate = 0.2;
     cfg.faults.seed = 5;
     cfg.faults.startCycle = kFaultStart;
-    cfg.metrics.path = "/tmp/flexsnoop_test_drift.fsmetrics";
+    cfg.metrics.path = testTempPath("drift.fsmetrics");
     cfg.metrics.intervalCycles = kInterval;
 
     const RunResult r = runSimulation(cfg, traces, profile.name);
@@ -312,7 +313,7 @@ TEST(HealthGroundTruth, CleanRunFiresNoDetector)
     const WorkloadProfile profile = miniProfile();
     const CoreTraces traces = SyntheticGenerator(profile).generate();
     MachineConfig cfg = sweepConfig(Algorithm::Subset, profile);
-    cfg.metrics.path = "/tmp/flexsnoop_test_clean.fsmetrics";
+    cfg.metrics.path = testTempPath("clean.fsmetrics");
     cfg.metrics.intervalCycles = kInterval;
 
     runSimulation(cfg, traces, profile.name);

@@ -19,6 +19,7 @@
 #include "core/simulation.hh"
 #include "workload/profile.hh"
 #include "workload/synthetic_generator.hh"
+#include "temp_path.hh"
 
 namespace flexsnoop
 {
@@ -157,11 +158,11 @@ TEST_P(HierEquivalence, TraceBytesIdentical)
 
     cfg.topology = TopologyConfig{};
     const std::string flat_bytes =
-        traceRun("/tmp/flexsnoop_test_hier_flat.fstrace");
+        traceRun(testTempPath("hier_flat.fstrace"));
     cfg.topology.kind = TopologyKind::Hier;
     cfg.topology.localRings = 1;
     const std::string degen_bytes =
-        traceRun("/tmp/flexsnoop_test_hier_degen.fstrace");
+        traceRun(testTempPath("hier_degen.fstrace"));
 
     ASSERT_FALSE(flat_bytes.empty());
     EXPECT_TRUE(flat_bytes == degen_bytes)

@@ -17,6 +17,7 @@
 
 #include "telemetry/metrics_reader.hh"
 #include "telemetry/metrics_sampler.hh"
+#include "temp_path.hh"
 
 namespace flexsnoop
 {
@@ -26,8 +27,8 @@ namespace
 TEST(MetricsConfig, FromSpecParsesEveryKey)
 {
     const MetricsConfig c =
-        MetricsConfig::fromSpec("/tmp/x.fsmetrics,interval=500,select=ctrl.*");
-    EXPECT_EQ(c.path, "/tmp/x.fsmetrics");
+        MetricsConfig::fromSpec("out/x.fsmetrics,interval=500,select=ctrl.*");
+    EXPECT_EQ(c.path, "out/x.fsmetrics");
     EXPECT_EQ(c.intervalCycles, 500u);
     EXPECT_EQ(c.select, "ctrl.*");
     EXPECT_TRUE(c.enabled());
@@ -74,8 +75,7 @@ TEST(MetricsSelector, GlobSemantics)
 /** Capture a small synthetic set of series with known values. */
 struct RoundTrip
 {
-    static constexpr const char *kPath =
-        "/tmp/flexsnoop_test_roundtrip.fsmetrics";
+    const std::string path = testTempPath("roundtrip.fsmetrics");
     std::vector<std::uint64_t> counter{0, 120, 7, 300, 300};
     std::vector<std::uint64_t> gauge{9, 2, 11, 0, 5};
     std::vector<std::uint64_t> cycles{100, 200, 300, 400, 500};
@@ -83,7 +83,7 @@ struct RoundTrip
     RoundTrip()
     {
         MetricsConfig cfg;
-        cfg.path = kPath;
+        cfg.path = path;
         cfg.intervalCycles = 100;
         MetricsSampler sampler(cfg, 8, 16);
         std::size_t at = 0;
@@ -101,13 +101,13 @@ struct RoundTrip
         }
         sampler.finish();
     }
-    ~RoundTrip() { std::remove(kPath); }
+    ~RoundTrip() { std::remove(path.c_str()); }
 };
 
 TEST(MetricsRoundTrip, ValuesSurviveExactly)
 {
     RoundTrip rt;
-    const MetricsFile file = loadMetrics(RoundTrip::kPath);
+    const MetricsFile file = loadMetrics(rt.path);
     EXPECT_EQ(file.header.version, kMetricsVersion);
     EXPECT_EQ(file.header.seriesCount, 2u);
     EXPECT_EQ(file.header.sampleCount, 5u);
@@ -130,7 +130,7 @@ TEST(MetricsRoundTrip, ValuesSurviveExactly)
 
 TEST(MetricsRoundTrip, EmptyCaptureIsValid)
 {
-    const char *path = "/tmp/flexsnoop_test_empty.fsmetrics";
+    const std::string path = testTempPath("empty.fsmetrics");
     {
         MetricsConfig cfg;
         cfg.path = path;
@@ -143,19 +143,19 @@ TEST(MetricsRoundTrip, EmptyCaptureIsValid)
     EXPECT_EQ(file.header.sampleCount, 0u);
     EXPECT_EQ(file.header.measureStartCycle, kMetricsNoMeasureStart);
     EXPECT_TRUE(file.cycles.empty());
-    std::remove(path);
+    std::remove(path.c_str());
 }
 
 TEST(MetricsReader, RejectsTruncationAtEveryPrefix)
 {
     RoundTrip rt;
-    std::ifstream is(RoundTrip::kPath, std::ios::binary);
+    std::ifstream is(rt.path, std::ios::binary);
     const std::string bytes((std::istreambuf_iterator<char>(is)),
                             std::istreambuf_iterator<char>());
     is.close();
     ASSERT_GT(bytes.size(), sizeof(MetricsFileHeader));
 
-    const char *cut = "/tmp/flexsnoop_test_truncated.fsmetrics";
+    const std::string cut = testTempPath("truncated.fsmetrics");
     // Every proper prefix must be rejected: the header promises a
     // payload length the file cannot satisfy (or the header itself is
     // incomplete).
@@ -175,18 +175,18 @@ TEST(MetricsReader, RejectsTruncationAtEveryPrefix)
     os << "junk";
     os.close();
     EXPECT_THROW(loadMetrics(cut), std::runtime_error);
-    std::remove(cut);
+    std::remove(cut.c_str());
 }
 
 TEST(MetricsReader, RejectsBadMagicAndPlaceholderHeader)
 {
     RoundTrip rt;
-    std::ifstream is(RoundTrip::kPath, std::ios::binary);
+    std::ifstream is(rt.path, std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(is)),
                       std::istreambuf_iterator<char>());
     is.close();
 
-    const char *bad = "/tmp/flexsnoop_test_badmagic.fsmetrics";
+    const std::string bad = testTempPath("badmagic.fsmetrics");
     {
         std::string corrupt = bytes;
         corrupt[0] = 'X';
@@ -203,12 +203,12 @@ TEST(MetricsReader, RejectsBadMagicAndPlaceholderHeader)
         os << zeros;
     }
     EXPECT_THROW(loadMetrics(bad), std::runtime_error);
-    std::remove(bad);
+    std::remove(bad.c_str());
 }
 
 TEST(MetricsSampler, SelectorFiltersAtRegistration)
 {
-    const char *path = "/tmp/flexsnoop_test_select.fsmetrics";
+    const std::string path = testTempPath("select.fsmetrics");
     MetricsConfig cfg;
     cfg.path = path;
     cfg.select = "ctrl.*";
@@ -226,12 +226,12 @@ TEST(MetricsSampler, SelectorFiltersAtRegistration)
     const MetricsFile file = loadMetrics(path);
     ASSERT_EQ(file.names.size(), 1u);
     EXPECT_EQ(file.names[0], "ctrl.retries");
-    std::remove(path);
+    std::remove(path.c_str());
 }
 
 TEST(MetricsSampler, DumpRecentShowsTail)
 {
-    const char *path = "/tmp/flexsnoop_test_dump.fsmetrics";
+    const std::string path = testTempPath("dump.fsmetrics");
     MetricsConfig cfg;
     cfg.path = path;
     cfg.intervalCycles = 10;
@@ -253,7 +253,7 @@ TEST(MetricsSampler, DumpRecentShowsTail)
         EXPECT_NE(dump.find("cycle: 80 90 100"), std::string::npos)
             << dump;
     }
-    std::remove(path);
+    std::remove(path.c_str());
 }
 
 } // namespace

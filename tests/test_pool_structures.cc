@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the allocation-free hot-path containers: SlotPool
  * (recycled slots, stable addresses) and FlatMap (open addressing,
- * tombstone erase).
+ * backward-shift erase).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/flat_map.hh"
@@ -129,11 +131,73 @@ TEST(FlatMap, SurvivesGrowthAndTombstoneChurn)
         }
     }
 
-    // Tombstoned slots are reused by later inserts.
+    // Erased slots are reused by later inserts.
     for (std::uint64_t k = 0; k < n; k += 2)
         map.put(k * 64, k + 1000000);
     EXPECT_EQ(map.size(), n);
     EXPECT_EQ(*map.find(0), 1000000u);
+}
+
+TEST(FlatMap, CapacityBoundedUnderMonotonicChurn)
+{
+    // Transaction-id churn: ids only grow while the live set stays at
+    // 16. Capacity must follow the live high-water mark, not the number
+    // of inserts; a tombstoning map reached 524,288 slots here.
+    FlatMap<std::uint64_t> map;
+    constexpr std::uint64_t kLive = 16;
+    constexpr std::uint64_t kPairs = 1'200'000;
+    for (std::uint64_t id = 0; id < kLive; ++id)
+        map.put(id, id);
+    for (std::uint64_t id = kLive; id < kLive + kPairs; ++id) {
+        map.put(id, id);
+        ASSERT_TRUE(map.erase(id - kLive)) << id;
+    }
+    EXPECT_EQ(map.size(), kLive);
+    EXPECT_LE(map.capacity(), 64u);
+    for (std::uint64_t id = kPairs; id < kPairs + kLive; ++id) {
+        const std::uint64_t *v = map.find(id);
+        ASSERT_NE(v, nullptr) << id;
+        EXPECT_EQ(*v, id);
+    }
+}
+
+TEST(FlatMap, RandomChurnMatchesReferenceMap)
+{
+    // Backward-shift erase moves entries across the table's wrap-around
+    // and through long clustered runs; a small key space over a small
+    // table exercises both. Every operation is checked against
+    // std::unordered_map.
+    FlatMap<std::uint64_t> map;
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    std::uint64_t s = 0x9e3779b97f4a7c15ull;
+    const auto next = [&s]() {
+        s ^= s >> 12;
+        s ^= s << 25;
+        s ^= s >> 27;
+        return s * 0x2545f4914f6cdd1dull;
+    };
+    for (int op = 0; op < 200'000; ++op) {
+        const std::uint64_t key = (next() % 96) * 64;
+        if (next() % 3 == 0) {
+            EXPECT_EQ(map.erase(key), ref.erase(key) == 1) << op;
+        } else {
+            const std::uint64_t value = next();
+            map.put(key, value);
+            ref[key] = value;
+        }
+        ASSERT_EQ(map.size(), ref.size()) << op;
+        if (op % 997 == 0) {
+            for (std::uint64_t k = 0; k < 96 * 64; k += 64) {
+                const auto it = ref.find(k);
+                const std::uint64_t *v = map.find(k);
+                ASSERT_EQ(v != nullptr, it != ref.end()) << op << " " << k;
+                if (v) {
+                    EXPECT_EQ(*v, it->second) << op << " " << k;
+                }
+            }
+        }
+    }
+    EXPECT_LE(map.capacity(), 256u);
 }
 
 TEST(FlatMap, ForEachVisitsExactlyTheLiveMappings)

@@ -28,6 +28,7 @@
 #include "trace/trace_reader.hh"
 #include "workload/core_model.hh"
 #include "workload/synthetic_generator.hh"
+#include "temp_path.hh"
 
 namespace flexsnoop
 {
@@ -245,8 +246,8 @@ TEST(ProbeSignature, TraceBytesIdenticalWithAndWithoutSignatures)
         Algorithm::SupersetAgg, profile.coresPerCmp);
     cfg.setNumCmps(profile.numCmps());
 
-    const std::string sig_path = "/tmp/flexsnoop_test_ps.fstrace";
-    const std::string hash_path = "/tmp/flexsnoop_test_ph.fstrace";
+    const std::string sig_path = testTempPath("ps.fstrace");
+    const std::string hash_path = testTempPath("ph.fstrace");
     cfg.trace.path = sig_path;
     runSimulation(cfg, traces, profile.name);
     {

@@ -20,6 +20,7 @@
 #include "trace/trace_reader.hh"
 #include "workload/core_model.hh"
 #include "workload/synthetic_generator.hh"
+#include "temp_path.hh"
 
 namespace flexsnoop
 {
@@ -162,8 +163,8 @@ TEST(QueueEquivalence, TraceBytesIdenticalUnderBothSchedulers)
         Algorithm::SupersetAgg, profile.coresPerCmp);
     cfg.setNumCmps(profile.numCmps());
 
-    const std::string wheel_path = "/tmp/flexsnoop_test_qw.fstrace";
-    const std::string heap_path = "/tmp/flexsnoop_test_qh.fstrace";
+    const std::string wheel_path = testTempPath("qw.fstrace");
+    const std::string heap_path = testTempPath("qh.fstrace");
     cfg.trace.path = wheel_path;
     runSimulation(cfg, traces, profile.name);
     {

@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "clock_lru_array.hh"
+#include "mem/line_state.hh"
 #include "mem/set_assoc_array.hh"
 
 namespace flexsnoop
@@ -17,6 +24,15 @@ line(std::uint64_t idx)
 {
     return idx * kLineSizeBytes;
 }
+
+struct Empty
+{
+};
+
+// The L2 and predictor ways pack into 16 B: an 8-way set spans two
+// 64 B cache lines.
+static_assert(sizeof(SetAssocArray<LineState>::Way) == 16);
+static_assert(sizeof(SetAssocArray<Empty>::Way) == 16);
 
 TEST(SetAssocArray, GeometryDerivedFromParameters)
 {
@@ -161,6 +177,124 @@ TEST(SetAssocArray, InsertResultDefaultIsNoEviction)
     EXPECT_FALSE(res.evicted);
     EXPECT_EQ(res.evictedAddr, kInvalidAddr);
 }
+
+TEST(SetAssocArray, RanksStayDenseAcrossEraseAndRefill)
+{
+    // 1 set, 4 ways. Erasing the MRU and LRU ways leaves holes; the
+    // refills take the free ways, and the next victim is still the
+    // least recently used survivor.
+    SetAssocArray<int> arr(4, 4);
+    for (int i = 0; i < 4; ++i)
+        arr.insert(line(i), i); // recency 0 < 1 < 2 < 3
+    EXPECT_TRUE(arr.erase(line(3)));
+    EXPECT_TRUE(arr.erase(line(0)));
+    arr.insert(line(4), 4);
+    arr.insert(line(5), 5);
+    arr.lookup(line(1)); // recency now 2 < 4 < 5 < 1
+    const auto res = arr.insert(line(6), 6);
+    EXPECT_TRUE(res.evicted);
+    EXPECT_EQ(res.evictedAddr, line(2));
+    EXPECT_EQ(arr.insert(line(7), 7).evictedAddr, line(4));
+}
+
+/** Deterministic xorshift64* so the differential script is
+ *  reproducible. */
+struct Rng
+{
+    std::uint64_t s = 0x9e3779b97f4a7c15ull;
+    std::uint64_t
+    next()
+    {
+        s ^= s >> 12;
+        s ^= s << 25;
+        s ^= s >> 27;
+        return s * 0x2545f4914f6cdd1dull;
+    }
+    std::uint64_t pick(std::uint64_t n) { return next() % n; }
+};
+
+class LruDifferential : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(LruDifferential, RankMatchesClockReferenceOnRandomScript)
+{
+    const std::size_t ways = GetParam();
+    const std::size_t sets = 4;
+    SetAssocArray<int> arr(sets * ways, ways);
+    ClockLruArray<int> ref(sets * ways, ways);
+    // Twice as many distinct lines as entries: sets fill, evict, and
+    // churn through holes left by erases, invalidations and flushes.
+    const std::uint64_t lines = 2 * sets * ways;
+    Rng rng;
+
+    const auto contents = [](const auto &a) {
+        std::vector<std::pair<Addr, int>> out;
+        a.forEachValid(
+            [&out](Addr tag, const int &v) { out.emplace_back(tag, v); });
+        return out;
+    };
+
+    for (int op = 0; op < 40'000; ++op) {
+        if (rng.pick(4096) == 0) { // rare: flush everything
+            arr.clear();
+            ref.clear();
+            continue;
+        }
+        const Addr l = line(rng.pick(lines));
+        switch (rng.pick(8)) {
+        case 0:
+        case 1:
+        case 2: {
+            const int v = op;
+            const auto got = arr.insert(l, v);
+            const auto want = ref.insert(l, v);
+            ASSERT_EQ(got.evicted, want.evicted) << op;
+            ASSERT_EQ(got.evictedAddr, want.evictedAddr) << op;
+            ASSERT_EQ(got.evictedPayload, want.evictedPayload) << op;
+            break;
+        }
+        case 3:
+        case 4: { // a hit that refreshes recency
+            const auto *got = arr.lookup(l, true);
+            const auto *want = ref.lookup(l, true);
+            ASSERT_EQ(got != nullptr, want != nullptr) << op;
+            if (got) {
+                ASSERT_EQ(got->data, want->data) << op;
+            }
+            break;
+        }
+        case 5: { // a probe that must not
+            const auto *got = arr.lookup(l, false);
+            const auto *want = ref.lookup(l, false);
+            ASSERT_EQ(got != nullptr, want != nullptr) << op;
+            break;
+        }
+        case 6:
+            ASSERT_EQ(arr.erase(l), ref.erase(l)) << op;
+            break;
+        default: { // invalidation through the way, as L2Cache does it
+            const std::size_t set = arr.setIndex(l);
+            auto *way = arr.lookupInSet(set, l, false);
+            const bool had = way != nullptr;
+            if (had)
+                arr.eraseWay(set, *way);
+            ASSERT_EQ(had, ref.erase(l)) << op;
+            break;
+        }
+        }
+        if (op % 64 == 0) {
+            ASSERT_EQ(contents(arr), contents(ref)) << op;
+        }
+    }
+    EXPECT_EQ(contents(arr), contents(ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ways, LruDifferential, ::testing::Values(1u, 2u, 8u, 16u, 256u),
+    [](const ::testing::TestParamInfo<std::size_t> &info) {
+        return "Ways" + std::to_string(info.param);
+    });
 
 } // namespace
 } // namespace flexsnoop

@@ -26,6 +26,7 @@
 #include "telemetry/metrics_reader.hh"
 #include "trace/trace_reader.hh"
 #include "workload/synthetic_generator.hh"
+#include "temp_path.hh"
 
 namespace flexsnoop
 {
@@ -112,7 +113,7 @@ TEST_P(MetricsObserverEffect, SamplingPerturbsNothingOnAnyProfile)
 
         const RunResult off = runSimulation(cfg, traces, profile.name);
 
-        const std::string path = "/tmp/flexsnoop_test_observer.fsmetrics";
+        const std::string path = testTempPath("observer.fsmetrics");
         cfg.metrics.path = path;
         cfg.metrics.intervalCycles = 2000;
         const RunResult on = runSimulation(cfg, traces, profile.name);
@@ -148,9 +149,9 @@ TEST(MetricsObserverEffectTrace, TraceBytesIdenticalWithSamplingOn)
             MachineConfig::paperDefault(a, profile.coresPerCmp);
         cfg.setNumCmps(profile.numCmps());
 
-        const std::string trace_off = "/tmp/flexsnoop_test_toff.fstrace";
-        const std::string trace_on = "/tmp/flexsnoop_test_ton.fstrace";
-        const std::string metrics = "/tmp/flexsnoop_test_ton.fsmetrics";
+        const std::string trace_off = testTempPath("toff.fstrace");
+        const std::string trace_on = testTempPath("ton.fstrace");
+        const std::string metrics = testTempPath("ton.fsmetrics");
 
         cfg.trace.path = trace_off;
         runSimulation(cfg, traces, profile.name);
@@ -181,8 +182,8 @@ TEST(MetricsDeterminism, SameConfigSameBytes)
     cfg.setNumCmps(profile.numCmps());
     cfg.metrics.intervalCycles = 2000;
 
-    const std::string p1 = "/tmp/flexsnoop_test_mdet1.fsmetrics";
-    const std::string p2 = "/tmp/flexsnoop_test_mdet2.fsmetrics";
+    const std::string p1 = testTempPath("mdet1.fsmetrics");
+    const std::string p2 = testTempPath("mdet2.fsmetrics");
     cfg.metrics.path = p1;
     runSimulation(cfg, traces, profile.name);
     cfg.metrics.path = p2;
@@ -208,8 +209,8 @@ sweepCells(const CoreTraces &traces, const WorkloadProfile &profile,
                         Algorithm::SupersetAgg, Algorithm::Exact}) {
         PlannedCell cell;
         cell.cfg = sweepConfig(a, profile);
-        cell.cfg.metrics.path = "/tmp/flexsnoop_test_" + tag +
-                                std::to_string(i++) + ".fsmetrics";
+        cell.cfg.metrics.path =
+            testTempPath(tag + std::to_string(i++) + ".fsmetrics");
         cell.cfg.metrics.intervalCycles = 2000;
         cell.traces = &traces;
         cell.workload = profile.name;
@@ -264,7 +265,7 @@ TEST(SweepLogTest, RecordsEveryCellWithStatus)
     const CoreTraces traces = SyntheticGenerator(profile).generate();
     const auto cells = sweepCells(traces, profile, "log", true);
 
-    const std::string log_path = "/tmp/flexsnoop_test_sweep.jsonl";
+    const std::string log_path = testTempPath("sweep.jsonl");
     SweepHardening hardening;
     hardening.sweepLogPath = log_path;
     const auto results = runCellsHardened(cells, 2, hardening);
@@ -325,7 +326,7 @@ TEST(StuckDump, CarriesTelemetryLeadUp)
     cfg.faults.dropRate = 0.5; // drops with no watchdog: deadlock
     cfg.faults.seed = 3;
     cfg.coherence.watchdogCycles = 0;
-    cfg.metrics.path = "/tmp/flexsnoop_test_stuck.fsmetrics";
+    cfg.metrics.path = testTempPath("stuck.fsmetrics");
     cfg.metrics.intervalCycles = 500;
 
     try {

@@ -11,6 +11,7 @@
 
 #include "workload/synthetic_generator.hh"
 #include "workload/trace_io.hh"
+#include "temp_path.hh"
 
 namespace flexsnoop
 {
@@ -72,7 +73,7 @@ TEST(TraceIo, GeneratedWorkloadRoundTrip)
 
 TEST(TraceIo, FileRoundTrip)
 {
-    const std::string path = "/tmp/flexsnoop_trace_io_test.fstr";
+    const std::string path = testTempPath("trace_io_test.fstr");
     const CoreTraces original = sampleTraces();
     saveTraces(path, original);
     expectEqual(original, loadTraces(path));

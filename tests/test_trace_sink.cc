@@ -14,6 +14,7 @@
 
 #include "trace/trace_reader.hh"
 #include "trace/trace_sink.hh"
+#include "temp_path.hh"
 
 namespace flexsnoop
 {
@@ -23,7 +24,7 @@ namespace
 std::string
 tempPath(const std::string &name)
 {
-    return "/tmp/flexsnoop_test_" + name + ".fstrace";
+    return testTempPath(name + ".fstrace");
 }
 
 TEST(TraceConfig, DisabledByDefault)
@@ -199,7 +200,7 @@ TEST(TraceSink, SnapshotHookPiggybacksOnRecords)
 
 TEST(TraceReader, RejectsMissingFile)
 {
-    EXPECT_THROW(loadTrace("/tmp/flexsnoop_does_not_exist.fstrace"),
+    EXPECT_THROW(loadTrace(testTempPath("does_not_exist.fstrace")),
                  std::runtime_error);
 }
 

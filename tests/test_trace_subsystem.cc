@@ -24,6 +24,7 @@
 #include "trace/trace_analysis.hh"
 #include "trace/trace_reader.hh"
 #include "workload/synthetic_generator.hh"
+#include "temp_path.hh"
 
 namespace flexsnoop
 {
@@ -101,7 +102,7 @@ TEST(TraceSubsystem, TracingDoesNotPerturbResults)
         const RunResult untraced =
             runSimulation(f.cfg, f.traces, f.workload);
 
-        const std::string path = "/tmp/flexsnoop_test_perturb.fstrace";
+        const std::string path = testTempPath("perturb.fstrace");
         f.cfg.trace.path = path;
         const RunResult traced =
             runSimulation(f.cfg, f.traces, f.workload);
@@ -113,8 +114,8 @@ TEST(TraceSubsystem, TracingDoesNotPerturbResults)
 TEST(TraceSubsystem, SameSeedSameBytes)
 {
     Fixture f;
-    const std::string p1 = "/tmp/flexsnoop_test_det1.fstrace";
-    const std::string p2 = "/tmp/flexsnoop_test_det2.fstrace";
+    const std::string p1 = testTempPath("det1.fstrace");
+    const std::string p2 = testTempPath("det2.fstrace");
     f.cfg.trace.path = p1;
     runSimulation(f.cfg, f.traces, f.workload);
     f.cfg.trace.path = p2;
@@ -138,15 +139,15 @@ TEST(TraceSubsystem, ParallelRunsMatchSerialRuns)
     Fixture base;
     std::vector<MachineConfig> cfgs(kCells, base.cfg);
     for (std::size_t i = 0; i < kCells; ++i)
-        cfgs[i].trace.path = "/tmp/flexsnoop_test_par" +
-                             std::to_string(i) + ".fstrace";
+        cfgs[i].trace.path =
+            testTempPath("par" + std::to_string(i) + ".fstrace");
 
     ParallelExecutor pool(kCells);
     pool.map(kCells, [&](std::size_t i) {
         return runSimulation(cfgs[i], base.traces, base.workload);
     });
 
-    const std::string serial_path = "/tmp/flexsnoop_test_serial.fstrace";
+    const std::string serial_path = testTempPath("serial.fstrace");
     MachineConfig serial_cfg = base.cfg;
     serial_cfg.trace.path = serial_path;
     runSimulation(serial_cfg, base.traces, base.workload);
@@ -164,7 +165,7 @@ TEST(TraceSubsystem, ParallelRunsMatchSerialRuns)
 TEST(TraceSubsystem, CriticalPathComponentsSumToLatency)
 {
     Fixture f;
-    const std::string path = "/tmp/flexsnoop_test_cp.fstrace";
+    const std::string path = testTempPath("cp.fstrace");
     f.cfg.trace.path = path;
     runSimulation(f.cfg, f.traces, f.workload);
 
@@ -187,7 +188,7 @@ TEST(TraceSubsystem, CriticalPathComponentsSumToLatency)
 TEST(TraceSubsystem, DecodedTraceIsConsistent)
 {
     Fixture f;
-    const std::string path = "/tmp/flexsnoop_test_decode.fstrace";
+    const std::string path = testTempPath("decode.fstrace");
     f.cfg.trace.path = path;
     const RunResult result = runSimulation(f.cfg, f.traces, f.workload);
 
@@ -223,7 +224,7 @@ TEST(TraceSubsystem, DecodedTraceIsConsistent)
 TEST(TraceSubsystem, ChromeTraceExportIsStructurallySound)
 {
     Fixture f;
-    const std::string path = "/tmp/flexsnoop_test_json.fstrace";
+    const std::string path = testTempPath("json.fstrace");
     f.cfg.trace.path = path;
     runSimulation(f.cfg, f.traces, f.workload);
 
