@@ -127,7 +127,7 @@ BM_SetAssocArrayChurn(benchmark::State &state)
     for (auto _ : state) {
         const Addr line = rng.nextBelow(32768) * kLineSizeBytes;
         benchmark::DoNotOptimize(array.insert(line, 1));
-        benchmark::DoNotOptimize(array.lookup(line));
+        benchmark::DoNotOptimize(array.find(line));
     }
     state.SetItemsProcessed(state.iterations());
 }

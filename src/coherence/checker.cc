@@ -1,6 +1,9 @@
 #include "coherence/checker.hh"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "mem/line_state.hh"
@@ -15,22 +18,33 @@ CoherenceChecker::check() const
     {
         Addr line;
         NodeId node;
-        std::size_t core;
+        std::uint16_t core;
         LineState state;
     };
+    static_assert(sizeof(Copy) == 16);
 
     // One flat scan sorted by (line, node, core) instead of a std::map
-    // of vectors rebuilt per check: a single allocation, and grouped
-    // iteration over contiguous ranges. The sort reproduces the old
-    // map's deterministic report order (lines ascending; within a line,
-    // forEachLine's node-then-core order).
+    // of vectors rebuilt per check: a single allocation of exactly the
+    // L2s' total occupancy, and grouped iteration over contiguous
+    // ranges. The sort reproduces the old map's deterministic report
+    // order (lines ascending; within a line, forEachLine's
+    // node-then-core order).
+    std::size_t total = 0;
+    for (const auto &node : _nodes) {
+        for (std::size_t c = 0; c < node->numCores(); ++c)
+            total += node->l2(c).occupancy();
+    }
     std::vector<Copy> copies;
+    copies.reserve(total);
     for (NodeId n = 0; n < _nodes.size(); ++n) {
         _nodes[n]->forEachLine(
             [&](std::size_t core, Addr line, LineState st) {
-                copies.push_back(Copy{line, n, core, st});
+                assert(core <= std::numeric_limits<std::uint16_t>::max());
+                copies.push_back(
+                    Copy{line, n, static_cast<std::uint16_t>(core), st});
             });
     }
+    assert(copies.size() == total);
     std::sort(copies.begin(), copies.end(),
               [](const Copy &a, const Copy &b) {
                   if (a.line != b.line)

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <functional>
 #include <iomanip>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -127,16 +126,21 @@ runSimulation(const MachineConfig &config, const CoreTraces &traces,
     const bool guardsOn = config.faults.armed() ||
                           config.guards.progressCheckCycles > 0 ||
                           config.guards.wallClockLimitSec > 0;
+    // The check and its state live in this frame, which outlives
+    // runner.run(); queued check events refer to them by reference.
+    // Declared after the machine, they die first, and a check event the
+    // queue still holds then is destroyed with it, never run.
+    std::uint64_t last = 0;
+    std::function<void()> tick;
     if (guardsOn) {
         const Cycle step = config.guards.progressCheckCycles > 0
                                ? config.guards.progressCheckCycles
                                : Cycle{1'000'000};
         const double wall_limit = config.guards.wallClockLimitSec;
         const auto wall_start = std::chrono::steady_clock::now();
-        auto last = std::make_shared<std::uint64_t>(progressMetric(runner));
-        auto tick = std::make_shared<std::function<void()>>();
-        *tick = [&machine, &runner, step, wall_limit, wall_start, last,
-                 tick]() {
+        last = progressMetric(runner);
+        tick = [&machine, &runner, step, wall_limit, wall_start, &last,
+                &tick]() {
             if (runner.allDone() &&
                 machine.controller().outstanding() == 0)
                 return; // finished; stop rescheduling so the queue drains
@@ -155,17 +159,17 @@ runSimulation(const MachineConfig &config, const CoreTraces &traces,
                 }
             }
             const std::uint64_t now_progress = progressMetric(runner);
-            if (now_progress == *last) {
+            if (now_progress == last) {
                 std::ostringstream oss;
                 oss << "no forward progress for " << step
                     << " cycles (deadlock or livelock)";
                 throw SimulationStuckError(
                     oss.str(), describeStuckState(machine, runner));
             }
-            *last = now_progress;
-            machine.queue().schedule(step, [tick]() { (*tick)(); });
+            last = now_progress;
+            machine.queue().schedule(step, [&tick]() { tick(); });
         };
-        machine.queue().schedule(step, [tick]() { (*tick)(); });
+        machine.queue().schedule(step, [&tick]() { tick(); });
     }
 
     const Cycle measured = runner.run();

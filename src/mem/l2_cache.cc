@@ -5,6 +5,11 @@
 namespace flexsnoop
 {
 
+namespace
+{
+constexpr std::size_t kNoWay = SetAssocArray<LineState>::kNoWay;
+} // namespace
+
 L2Cache::L2Cache(const std::string &name, std::size_t entries,
                  std::size_t ways)
     : _array(entries, ways), _stats(name),
@@ -18,15 +23,15 @@ L2Cache::L2Cache(const std::string &name, std::size_t entries,
 LineState
 L2Cache::state(Addr line) const
 {
-    const auto *way = _array.lookup(lineAddr(line));
-    return way ? way->data : LineState::Invalid;
+    const std::size_t way = _array.find(lineAddr(line));
+    return way != kNoWay ? _array.data(way) : LineState::Invalid;
 }
 
 LineState
 L2Cache::state(Addr line, std::size_t set) const
 {
-    const auto *way = _array.lookupInSet(set, lineAddr(line));
-    return way ? way->data : LineState::Invalid;
+    const std::size_t way = _array.findInSet(set, lineAddr(line));
+    return way != kNoWay ? _array.data(way) : LineState::Invalid;
 }
 
 L2Cache::Eviction
@@ -38,9 +43,9 @@ L2Cache::fill(Addr line, LineState st)
     // A racing transaction may have installed the line already (e.g. a
     // retried write completing after a merged read): treat the fill as a
     // state change so observers see the true old state.
-    if (auto *way = _array.lookup(line, true)) {
-        const LineState from = way->data;
-        way->data = st;
+    if (const std::size_t way = _array.find(line, true); way != kNoWay) {
+        const LineState from = _array.data(way);
+        _array.data(way) = st;
         _refills.inc();
         notify(line, from, st);
         return ev;
@@ -62,14 +67,14 @@ void
 L2Cache::changeState(Addr line, LineState to)
 {
     line = lineAddr(line);
-    auto *way = _array.lookup(line, false);
-    assert(way != nullptr && "changeState on a non-resident line");
-    const LineState from = way->data;
+    const std::size_t way = _array.find(line, false);
+    assert(way != kNoWay && "changeState on a non-resident line");
+    const LineState from = _array.data(way);
     if (to == LineState::Invalid) {
-        _array.erase(line);
+        _array.eraseWay(way);
         _invalidations.inc();
     } else {
-        way->data = to;
+        _array.data(way) = to;
     }
     notify(line, from, to);
 }
@@ -84,11 +89,11 @@ LineState
 L2Cache::invalidate(Addr line, std::size_t set)
 {
     line = lineAddr(line);
-    auto *way = _array.lookupInSet(set, line, false);
-    if (!way)
+    const std::size_t way = _array.findInSet(set, line, false);
+    if (way == kNoWay)
         return LineState::Invalid;
-    const LineState from = way->data;
-    _array.eraseWay(set, *way);
+    const LineState from = _array.data(way);
+    _array.eraseWay(way);
     _invalidations.inc();
     notify(line, from, LineState::Invalid);
     return from;
@@ -97,7 +102,7 @@ L2Cache::invalidate(Addr line, std::size_t set)
 void
 L2Cache::touch(Addr line)
 {
-    _array.lookup(lineAddr(line), true);
+    _array.find(lineAddr(line), true);
 }
 
 } // namespace flexsnoop

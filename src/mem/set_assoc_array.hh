@@ -6,23 +6,32 @@
  * predictor structures (payload = empty). Addresses are line addresses;
  * the array derives the set index from the line index bits.
  *
+ * Tags and metadata live in two parallel arrays indexed by one way
+ * number. The tag array holds one Addr per way and is 64-byte aligned,
+ * so an 8-way set's tags fill exactly one cache line; kInvalidAddr
+ * marks an invalid way (lineAddr() never produces it), so a probe
+ * compares tags only. The metadata array holds the recency rank and
+ * the payload: 2 B per way for a LineState, 1 B for an empty payload.
+ * A probe reads it only on a hit that touches; insert and erase read
+ * and write it.
+ *
  * Recency is an 8-bit rank per way, kept dense among the set's valid
  * ways: with k valid ways the ranks are exactly 0..k-1, 0 the least
  * recently used. That orders the valid ways just as a global use stamp
  * would, so the victim -- the first invalid way, else rank 0 -- is the
- * same, while a way with a LineState or empty payload packs into 16 B
- * (an 8-way set spans two cache lines). Invalid ways hold rank 0 and
- * are never ranked above a valid way, so a value-initialized array is a
- * valid empty one. Every change of a way's validity therefore goes
- * through insert() or erase*(), which keep the ranks dense.
+ * same. Invalid ways hold rank 0 and are never ranked above a valid
+ * way. Every change of a way's validity therefore goes through insert()
+ * or erase*(), which keep the ranks dense.
  */
 
 #ifndef FLEXSNOOP_MEM_SET_ASSOC_ARRAY_HH
 #define FLEXSNOOP_MEM_SET_ASSOC_ARRAY_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "sim/types.hh"
@@ -41,22 +50,56 @@ struct InsertResult
     Payload evictedPayload{};
 };
 
+/** std::vector allocator whose blocks start on a 64-byte cache line. */
+template <typename T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+    }
+
+    void
+    deallocate(T *p, std::size_t) noexcept
+    {
+        ::operator delete(p, kAlign);
+    }
+
+    friend bool
+    operator==(const CacheLineAllocator &, const CacheLineAllocator &)
+    {
+        return true;
+    }
+};
+
 template <typename Payload>
 class SetAssocArray
 {
   public:
-    struct Way
+    /** Per-way metadata, parallel to the tag array. */
+    struct Meta
     {
-        Addr tag = kInvalidAddr; ///< full line address (not just tag bits)
-        bool valid = false;
         /** Recency among the set's valid ways: 0 = LRU, k-1 = MRU.
          *  Always 0 while invalid. */
         std::uint8_t rank = 0;
-        Payload data{};
+        [[no_unique_address]] Payload data{};
     };
 
     /** Largest associativity an 8-bit rank can order. */
     static constexpr std::size_t kMaxWays = 256;
+
+    /** Way number find() returns on a miss. */
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
 
     /**
      * @param num_entries total entries (must be a multiple of @p ways)
@@ -64,14 +107,14 @@ class SetAssocArray
      */
     SetAssocArray(std::size_t num_entries, std::size_t ways)
         : _ways(ways), _sets(num_entries / ways),
-          _array(num_entries)
+          _tags(num_entries, kInvalidAddr), _meta(num_entries)
     {
         assert(ways > 0 && ways <= kMaxWays);
         assert(num_entries % ways == 0);
         assert(_sets > 0);
     }
 
-    std::size_t numEntries() const { return _array.size(); }
+    std::size_t numEntries() const { return _tags.size(); }
     std::size_t numSets() const { return _sets; }
     std::size_t associativity() const { return _ways; }
 
@@ -79,10 +122,9 @@ class SetAssocArray
     std::size_t
     occupancy() const
     {
-        std::size_t n = 0;
-        for (const auto &w : _array)
-            n += w.valid;
-        return n;
+        return _tags.size() -
+               static_cast<std::size_t>(
+                   std::count(_tags.begin(), _tags.end(), kInvalidAddr));
     }
 
     /** Set index for a line address. */
@@ -93,49 +135,60 @@ class SetAssocArray
     }
 
     /**
-     * Look up @p line; returns the way or nullptr. Updates LRU when
-     * @p touch is true.
+     * Look up @p line; returns its way number or kNoWay. Updates LRU
+     * when @p touch is true.
      */
-    Way *
-    lookup(Addr line, bool touch = true)
+    std::size_t
+    find(Addr line, bool touch = true)
     {
         line = lineAddr(line);
-        return lookupInSet(setIndex(line), line, touch);
+        return findInSet(setIndex(line), line, touch);
     }
 
-    const Way *
-    lookup(Addr line) const
+    std::size_t
+    find(Addr line) const
     {
-        return const_cast<SetAssocArray *>(this)->lookup(line, false);
+        return const_cast<SetAssocArray *>(this)->find(line, false);
     }
+
+    /** True when @p line is resident; never touches LRU. */
+    bool contains(Addr line) const { return find(line) != kNoWay; }
 
     /**
-     * lookup() with the set index already known — the snoop hot path
+     * find() with the set index already known — the snoop hot path
      * carries it in the message's probe signature (geometry is uniform
      * across all L2s of the machine, so one index serves every node).
+     * @p line must already be a line address.
      */
-    Way *
-    lookupInSet(std::size_t set, Addr line, bool touch = true)
+    std::size_t
+    findInSet(std::size_t set, Addr line, bool touch = true)
     {
-        assert(set == setIndex(line));
-        Way *const ways = &_array[set * _ways];
+        assert(line == lineAddr(line) && set == setIndex(line));
+        const std::size_t base = set * _ways;
+        const Addr *const tags = &_tags[base];
         for (std::size_t i = 0; i < _ways; ++i) {
-            Way &w = ways[i];
-            if (w.valid && w.tag == line) {
+            if (tags[i] == line) {
                 if (touch)
-                    promote(ways, w);
-                return &w;
+                    promote(base, i);
+                return base + i;
             }
         }
-        return nullptr;
+        return kNoWay;
     }
 
-    const Way *
-    lookupInSet(std::size_t set, Addr line) const
+    std::size_t
+    findInSet(std::size_t set, Addr line) const
     {
-        return const_cast<SetAssocArray *>(this)->lookupInSet(set, line,
-                                                              false);
+        return const_cast<SetAssocArray *>(this)->findInSet(set, line,
+                                                            false);
     }
+
+    /** Line address held by @p way (kInvalidAddr while invalid). */
+    const Addr &tag(std::size_t way) const { return _tags[way]; }
+
+    /** Payload of the valid @p way, as returned by find(). */
+    Payload &data(std::size_t way) { return _meta[way].data; }
+    const Payload &data(std::size_t way) const { return _meta[way].data; }
 
     /**
      * Insert @p line with @p data, evicting the LRU way if the set is
@@ -146,7 +199,9 @@ class SetAssocArray
     {
         line = lineAddr(line);
         InsertResult<Payload> result;
-        Way *const ways = &_array[setIndex(line) * _ways];
+        const std::size_t base = setIndex(line) * _ways;
+        const Addr *const tags = &_tags[base];
+        const Meta *const meta = &_meta[base];
         // One pass finds a hit, else the first invalid way, else the
         // LRU way (rank 0, unique in a full set). A set with an invalid
         // way holds k < _ways valid ways ranked 0..k-1, so a newcomer
@@ -156,32 +211,30 @@ class SetAssocArray
         std::size_t lru = 0;
         unsigned valid = 0;
         for (std::size_t i = _ways; i-- > 0;) {
-            const Way &w = ways[i];
-            hit = (w.valid && w.tag == line) ? i : hit;
-            vacant = w.valid ? vacant : i;
-            lru = w.rank == 0 ? i : lru;
-            valid += w.valid;
+            const bool is_valid = tags[i] != kInvalidAddr;
+            hit = tags[i] == line ? i : hit;
+            vacant = is_valid ? vacant : i;
+            lru = meta[i].rank == 0 ? i : lru;
+            valid += is_valid;
         }
         if (hit != _ways) {
-            promote(ways, ways[hit]);
-            ways[hit].data = std::move(data);
+            promote(base, hit);
+            _meta[base + hit].data = std::move(data);
             return result;
         }
         if (vacant != _ways) {
-            Way &way = ways[vacant];
-            way.tag = line;
-            way.valid = true;
-            way.rank = static_cast<std::uint8_t>(valid);
-            way.data = std::move(data);
+            _tags[base + vacant] = line;
+            Meta &m = _meta[base + vacant];
+            m.rank = static_cast<std::uint8_t>(valid);
+            m.data = std::move(data);
             return result;
         }
-        Way &victim = ways[lru];
         result.evicted = true;
-        result.evictedAddr = victim.tag;
-        result.evictedPayload = std::move(victim.data);
-        victim.tag = line;
-        victim.data = std::move(data);
-        promote(ways, victim);
+        result.evictedAddr = _tags[base + lru];
+        result.evictedPayload = std::move(_meta[base + lru].data);
+        _tags[base + lru] = line;
+        _meta[base + lru].data = std::move(data);
+        promote(base, lru);
         return result;
     }
 
@@ -189,43 +242,35 @@ class SetAssocArray
     bool
     erase(Addr line)
     {
-        line = lineAddr(line);
-        const std::size_t set = setIndex(line);
-        if (Way *w = lookupInSet(set, line, false)) {
-            eraseWay(set, *w);
-            return true;
-        }
-        return false;
+        const std::size_t way = find(line, false);
+        if (way == kNoWay)
+            return false;
+        eraseWay(way);
+        return true;
     }
 
     /**
-     * Invalidate @p way, a valid way of set @p set (as returned by
-     * lookupInSet), closing the gap it leaves in the set's ranks.
+     * Invalidate the valid @p way (as returned by find()), closing the
+     * gap it leaves in its set's ranks.
      */
     void
-    eraseWay(std::size_t set, Way &way)
+    eraseWay(std::size_t way)
     {
-        Way *const ways = &_array[set * _ways];
-        assert(way.valid && &way >= ways && &way < ways + _ways);
-        const unsigned rank = way.rank;
-        for (Way *w = ways, *end = ways + _ways; w != end; ++w)
-            w->rank = static_cast<std::uint8_t>(w->rank - (w->rank > rank));
-        way.valid = false;
-        way.rank = 0;
-        way.tag = kInvalidAddr;
-        way.data = Payload{};
+        assert(way < _tags.size() && _tags[way] != kInvalidAddr);
+        const std::size_t base = way - way % _ways;
+        const unsigned rank = _meta[way].rank;
+        for (Meta *m = &_meta[base], *end = m + _ways; m != end; ++m)
+            m->rank = static_cast<std::uint8_t>(m->rank - (m->rank > rank));
+        _tags[way] = kInvalidAddr;
+        _meta[way] = Meta{};
     }
 
     /** Invalidate every entry. */
     void
     clear()
     {
-        for (auto &w : _array) {
-            w.valid = false;
-            w.rank = 0;
-            w.tag = kInvalidAddr;
-            w.data = Payload{};
-        }
+        std::fill(_tags.begin(), _tags.end(), kInvalidAddr);
+        std::fill(_meta.begin(), _meta.end(), Meta{});
     }
 
     /** Visit every valid way (tag, payload ref). */
@@ -233,9 +278,9 @@ class SetAssocArray
     void
     forEachValid(Fn &&fn)
     {
-        for (auto &w : _array) {
-            if (w.valid)
-                fn(w.tag, w.data);
+        for (std::size_t i = 0; i < _tags.size(); ++i) {
+            if (_tags[i] != kInvalidAddr)
+                fn(_tags[i], _meta[i].data);
         }
     }
 
@@ -243,33 +288,35 @@ class SetAssocArray
     void
     forEachValid(Fn &&fn) const
     {
-        for (const auto &w : _array) {
-            if (w.valid)
-                fn(w.tag, w.data);
+        for (std::size_t i = 0; i < _tags.size(); ++i) {
+            if (_tags[i] != kInvalidAddr)
+                fn(_tags[i], _meta[i].data);
         }
     }
 
   private:
-    /** Make the valid @p way the set's MRU: every way ranked above it
-     *  (valid, since invalid ways hold 0) moves down one, and it takes
-     *  the top rank. Branch-free, and the bound is read once: the byte
-     *  stores could otherwise alias _ways. */
+    /** Make way @p hit of the set at @p base its MRU: every way ranked
+     *  above it (valid, since invalid ways hold 0) moves down one, and
+     *  it takes the top rank. Branch-free, and the bound is read once:
+     *  the byte stores could otherwise alias _ways. */
     void
-    promote(Way *ways, Way &way)
+    promote(std::size_t base, std::size_t hit)
     {
-        const unsigned rank = way.rank;
+        Meta *const meta = &_meta[base];
+        const unsigned rank = meta[hit].rank;
         unsigned above = 0;
-        for (Way *w = ways, *end = ways + _ways; w != end; ++w) {
-            const unsigned higher = w->rank > rank;
-            w->rank = static_cast<std::uint8_t>(w->rank - higher);
+        for (Meta *m = meta, *end = meta + _ways; m != end; ++m) {
+            const unsigned higher = m->rank > rank;
+            m->rank = static_cast<std::uint8_t>(m->rank - higher);
             above += higher;
         }
-        way.rank = static_cast<std::uint8_t>(rank + above);
+        meta[hit].rank = static_cast<std::uint8_t>(rank + above);
     }
 
     std::size_t _ways;
     std::size_t _sets;
-    std::vector<Way> _array;
+    std::vector<Addr, CacheLineAllocator<Addr>> _tags;
+    std::vector<Meta> _meta;
 };
 
 } // namespace flexsnoop

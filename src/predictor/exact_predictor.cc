@@ -17,7 +17,7 @@ bool
 ExactPredictor::predict(Addr line)
 {
     _lookups.inc();
-    return _array.lookup(lineAddr(line), false) != nullptr;
+    return _array.contains(lineAddr(line));
 }
 
 void

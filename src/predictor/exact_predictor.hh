@@ -45,7 +45,7 @@ class ExactPredictor : public SupplierPredictor
     bool
     wouldPredict(Addr line) const override
     {
-        return _array.lookup(lineAddr(line)) != nullptr;
+        return _array.contains(lineAddr(line));
     }
 
     Cycle accessLatency() const override { return _latency; }

@@ -43,7 +43,8 @@ class ExcludeCache
     bool
     contains(Addr line)
     {
-        return _array.lookup(lineAddr(line), true) != nullptr;
+        return _array.find(lineAddr(line), true) !=
+               SetAssocArray<Empty>::kNoWay;
     }
 
     /** contains() without the LRU touch; the express probe must not
@@ -51,7 +52,7 @@ class ExcludeCache
     bool
     peek(Addr line) const
     {
-        return _array.lookup(lineAddr(line)) != nullptr;
+        return _array.contains(lineAddr(line));
     }
 
     std::size_t occupancy() const { return _array.occupancy(); }

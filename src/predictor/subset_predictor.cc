@@ -15,7 +15,7 @@ bool
 SubsetPredictor::predict(Addr line)
 {
     _lookups.inc();
-    return _array.lookup(lineAddr(line), false) != nullptr;
+    return _array.contains(lineAddr(line));
 }
 
 void

@@ -36,7 +36,7 @@ class SubsetPredictor : public SupplierPredictor
     bool
     wouldPredict(Addr line) const override
     {
-        return _array.lookup(lineAddr(line)) != nullptr;
+        return _array.contains(lineAddr(line));
     }
 
     Cycle accessLatency() const override { return _latency; }
@@ -52,7 +52,7 @@ class SubsetPredictor : public SupplierPredictor
     /** Test hook: is @p line currently tracked? */
     bool contains(Addr line) const
     {
-        return _array.lookup(lineAddr(line)) != nullptr;
+        return _array.contains(lineAddr(line));
     }
 
   private:

@@ -1,8 +1,10 @@
 #include "sim/random.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace flexsnoop
 {
@@ -92,7 +94,7 @@ Rng::nextGeometric(double mean)
 
 ZipfSampler::ZipfSampler(std::size_t n, double theta)
 {
-    assert(n > 0);
+    assert(n > 0 && n <= std::numeric_limits<std::uint32_t>::max());
     _cdf.resize(n);
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -102,16 +104,31 @@ ZipfSampler::ZipfSampler(std::size_t n, double theta)
     for (auto &v : _cdf)
         v /= sum;
     _cdf.back() = 1.0;
+
+    // K = bit_ceil(n) keeps the table's K + 1 four-byte entries within
+    // the CDF's 8n bytes. The CDF ends at 1, so every entry is < n.
+    const std::size_t buckets = std::bit_ceil(n);
+    _guide.resize(buckets + 1);
+    const double width = 1.0 / static_cast<double>(buckets);
+    std::size_t idx = 0;
+    for (std::size_t j = 0; j <= buckets; ++j) {
+        const double bound = static_cast<double>(j) * width;
+        while (_cdf[idx] < bound)
+            ++idx;
+        _guide[j] = static_cast<std::uint32_t>(idx);
+    }
 }
 
 std::size_t
-ZipfSampler::sample(Rng &rng) const
+ZipfSampler::indexOf(double u) const
 {
-    const double u = rng.nextDouble();
-    auto it = std::lower_bound(_cdf.begin(), _cdf.end(), u);
-    if (it == _cdf.end())
-        --it;
-    return static_cast<std::size_t>(it - _cdf.begin());
+    assert(u >= 0.0 && u < 1.0);
+    const auto j = static_cast<std::size_t>(
+        u * static_cast<double>(buckets()));
+    const auto first = _cdf.begin() + _guide[j];
+    const auto last = _cdf.begin() + _guide[j + 1];
+    return static_cast<std::size_t>(std::lower_bound(first, last, u) -
+                                    _cdf.begin());
 }
 
 } // namespace flexsnoop

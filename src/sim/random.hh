@@ -62,7 +62,12 @@ class Rng
 /**
  * Zipf-distributed integer sampler over [0, n).
  *
- * Precomputes the CDF once; sampling is a binary search. Used to give
+ * Precomputes the CDF once, plus a guide table that splits [0, 1) into
+ * K equal buckets (K a power of two, so u·K and j/K are exact):
+ * guide[j] is the first index whose CDF reaches j/K. A draw u lies in
+ * bucket j = floor(u·K), so its index lies in [guide[j], guide[j+1]],
+ * and sampling is a binary search of that short range. It returns the
+ * index a search of the whole CDF would, for every u. Used to give
  * workload footprints realistic hot/cold skew.
  */
 class ZipfSampler
@@ -75,12 +80,23 @@ class ZipfSampler
     ZipfSampler(std::size_t n, double theta);
 
     /** Draw one sample in [0, n). */
-    std::size_t sample(Rng &rng) const;
+    std::size_t sample(Rng &rng) const { return indexOf(rng.nextDouble()); }
+
+    /** The first index whose CDF value is >= @p u, for u in [0, 1). */
+    std::size_t indexOf(double u) const;
 
     std::size_t size() const { return _cdf.size(); }
 
+    /** Cumulative probability of each index; the last one is 1. */
+    const std::vector<double> &cdf() const { return _cdf; }
+
+    /** Number of guide buckets, K. */
+    std::size_t buckets() const { return _guide.size() - 1; }
+
   private:
     std::vector<double> _cdf;
+    /** K + 1 entries; 4 B each with K < 2n, so no larger than _cdf. */
+    std::vector<std::uint32_t> _guide;
 };
 
 } // namespace flexsnoop

@@ -7,10 +7,10 @@
 namespace flexsnoop
 {
 
-TraceCore::TraceCore(CoreId id, Trace trace, std::size_t warmup_refs,
-                     const CoreParams &params, EventQueue &queue,
-                     RequestPort &port)
-    : _id(id), _trace(std::move(trace)), _warmupRefs(warmup_refs),
+TraceCore::TraceCore(CoreId id, std::span<const MemRef> trace,
+                     std::size_t warmup_refs, const CoreParams &params,
+                     EventQueue &queue, RequestPort &port)
+    : _id(id), _trace(trace), _warmupRefs(warmup_refs),
       _params(params), _queue(queue), _port(port),
       _stats("core" + std::to_string(id)),
       _readsIssued(_stats.counter("reads_issued")),

@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -36,9 +37,10 @@ struct CoreParams
 class TraceCore
 {
   public:
-    TraceCore(CoreId id, Trace trace, std::size_t warmup_refs,
-              const CoreParams &params, EventQueue &queue,
-              RequestPort &port);
+    /** Replays @p trace, which must outlive the core; it is not copied. */
+    TraceCore(CoreId id, std::span<const MemRef> trace,
+              std::size_t warmup_refs, const CoreParams &params,
+              EventQueue &queue, RequestPort &port);
 
     CoreId id() const { return _id; }
     bool done() const { return _idx >= _trace.size() && _outstanding == 0; }
@@ -75,7 +77,7 @@ class TraceCore
     void issueRef(const MemRef &ref);
 
     CoreId _id;
-    Trace _trace;
+    std::span<const MemRef> _trace;
     std::size_t _warmupRefs;
     CoreParams _params;
     EventQueue &_queue;
@@ -112,8 +114,12 @@ class WorkloadRunner
     /** Hook fired when all cores passed warmup (reset stats here). */
     using WarmupDoneFn = std::function<void()>;
 
+    /** The cores replay @p traces in place: they must outlive the
+     *  runner, so a temporary is rejected. */
     WorkloadRunner(EventQueue &queue, RequestPort &port,
                    const CoreTraces &traces, const CoreParams &params);
+    WorkloadRunner(EventQueue &, RequestPort &, CoreTraces &&,
+                   const CoreParams &) = delete;
 
     void setWarmupDoneFn(WarmupDoneFn fn) { _onWarmupDone = std::move(fn); }
 

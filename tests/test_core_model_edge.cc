@@ -32,8 +32,9 @@ emptyTraces(std::size_t cores)
 TEST(CoreModelEdge, EmptyTracesFinishImmediately)
 {
     Machine machine(MachineConfig::testDefault(Algorithm::Lazy));
-    WorkloadRunner runner(machine.queue(), machine.controller(),
-                          emptyTraces(4), CoreParams{});
+    const CoreTraces traces = emptyTraces(4);
+    WorkloadRunner runner(machine.queue(), machine.controller(), traces,
+                          CoreParams{});
     runner.run();
     EXPECT_TRUE(runner.allDone());
     EXPECT_EQ(machine.queue().now(), 0u);

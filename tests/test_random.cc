@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <sstream>
+#include <tuple>
 
 #include "sim/random.hh"
 
@@ -176,6 +180,70 @@ TEST(Zipf, SingleElement)
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(zipf.sample(rng), 0u);
 }
+
+/** Index of the full-CDF binary search the guide table must reproduce. */
+std::size_t
+fullSearch(const ZipfSampler &zipf, double u)
+{
+    const auto &cdf = zipf.cdf();
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+}
+
+/** (n, theta): one value, powers of two (uniform ones put CDF values
+ *  exactly on bucket bounds), non-powers of two, and the 40k-line
+ *  private footprint of the specjbb profile. */
+class ZipfGuide
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double>>
+{
+};
+
+TEST_P(ZipfGuide, MatchesFullBinarySearch)
+{
+    const auto [n, theta] = GetParam();
+    const ZipfSampler zipf(n, theta);
+    const std::size_t k = zipf.buckets();
+    ASSERT_EQ(k & (k - 1), 0u) << "bucket count must be a power of two";
+    ASSERT_GE(k, n);
+    // The table takes no more memory than the CDF.
+    EXPECT_LE((k + 1) * sizeof(std::uint32_t), n * sizeof(double));
+
+    Rng rng(0x5eed + n);
+    for (int i = 0; i < 1'000'000; ++i) {
+        const double u = rng.nextDouble();
+        ASSERT_EQ(zipf.indexOf(u), fullSearch(zipf, u)) << "u=" << u;
+    }
+
+    // Bucket bounds u = j/K and the values just below them, plus the
+    // ends of [0, 1).
+    for (std::size_t j = 0; j < k; ++j) {
+        const double bound = static_cast<double>(j) / static_cast<double>(k);
+        ASSERT_EQ(zipf.indexOf(bound), fullSearch(zipf, bound)) << j;
+        if (j > 0) {
+            const double below = std::nextafter(bound, 0.0);
+            ASSERT_EQ(zipf.indexOf(below), fullSearch(zipf, below)) << j;
+        }
+    }
+    const double top = std::nextafter(1.0, 0.0);
+    EXPECT_EQ(zipf.indexOf(0.0), fullSearch(zipf, 0.0));
+    EXPECT_EQ(zipf.indexOf(top), fullSearch(zipf, top));
+    EXPECT_LT(zipf.indexOf(top), n);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, ZipfGuide,
+    ::testing::Values(std::make_tuple(std::size_t{1}, 0.9),
+                      std::make_tuple(std::size_t{8}, 0.0),
+                      std::make_tuple(std::size_t{1024}, 0.99),
+                      std::make_tuple(std::size_t{10}, 0.0),
+                      std::make_tuple(std::size_t{6144}, 0.65),
+                      std::make_tuple(std::size_t{40000}, 0.3)),
+    [](const auto &info) {
+        std::ostringstream name;
+        name << 'N' << std::get<0>(info.param) << "Theta"
+             << static_cast<int>(std::get<1>(info.param) * 100);
+        return name.str();
+    });
 
 } // namespace
 } // namespace flexsnoop

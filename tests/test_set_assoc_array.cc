@@ -29,10 +29,46 @@ struct Empty
 {
 };
 
-// The L2 and predictor ways pack into 16 B: an 8-way set spans two
-// 64 B cache lines.
-static_assert(sizeof(SetAssocArray<LineState>::Way) == 16);
-static_assert(sizeof(SetAssocArray<Empty>::Way) == 16);
+constexpr std::size_t kNoWay = SetAssocArray<int>::kNoWay;
+
+// Per-way metadata beside the tag array: a rank byte plus the payload,
+// which an empty payload does not widen.
+static_assert(sizeof(SetAssocArray<LineState>::Meta) <= 2);
+static_assert(sizeof(SetAssocArray<Empty>::Meta) == 1);
+
+TEST(SetAssocArray, EightWaySetTagsFillOneCacheLine)
+{
+    // Tags are 8 B apart and start on a 64-byte boundary, so the eight
+    // tags a probe of an 8-way set compares share one cache line.
+    for (const std::size_t ways : {1u, 2u, 8u, 16u}) {
+        SetAssocArray<LineState> arr(64 * ways, ways);
+        const auto *first =
+            reinterpret_cast<const unsigned char *>(&arr.tag(0));
+        const auto *second =
+            reinterpret_cast<const unsigned char *>(&arr.tag(1));
+        EXPECT_EQ(second - first, 8) << ways;
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(first) % 64, 0u)
+            << ways;
+    }
+}
+
+TEST(SetAssocArray, InvalidWaysHoldTheSentinelTag)
+{
+    SetAssocArray<int> arr(4, 2);
+    for (std::size_t w = 0; w < arr.numEntries(); ++w)
+        EXPECT_EQ(arr.tag(w), kInvalidAddr) << w;
+    arr.insert(line(0), 1);
+    const std::size_t way = arr.find(line(0));
+    ASSERT_NE(way, kNoWay);
+    EXPECT_EQ(arr.tag(way), line(0));
+    arr.eraseWay(way);
+    EXPECT_EQ(arr.tag(way), kInvalidAddr);
+    // The highest line address is still a line, not the sentinel.
+    EXPECT_NE(lineAddr(kInvalidAddr), kInvalidAddr);
+    arr.insert(kInvalidAddr, 7);
+    EXPECT_TRUE(arr.contains(lineAddr(kInvalidAddr)));
+    EXPECT_EQ(arr.occupancy(), 1u);
+}
 
 TEST(SetAssocArray, GeometryDerivedFromParameters)
 {
@@ -47,10 +83,10 @@ TEST(SetAssocArray, InsertThenLookup)
 {
     SetAssocArray<int> arr(16, 4);
     arr.insert(line(3), 42);
-    const auto *way = arr.lookup(line(3));
-    ASSERT_NE(way, nullptr);
-    EXPECT_EQ(way->data, 42);
-    EXPECT_EQ(way->tag, line(3));
+    const std::size_t way = arr.find(line(3));
+    ASSERT_NE(way, kNoWay);
+    EXPECT_EQ(arr.data(way), 42);
+    EXPECT_EQ(arr.tag(way), line(3));
     EXPECT_EQ(arr.occupancy(), 1u);
 }
 
@@ -58,15 +94,15 @@ TEST(SetAssocArray, LookupMissReturnsNull)
 {
     SetAssocArray<int> arr(16, 4);
     arr.insert(line(3), 1);
-    EXPECT_EQ(arr.lookup(line(4)), nullptr);
+    EXPECT_EQ(arr.find(line(4)), kNoWay);
 }
 
 TEST(SetAssocArray, OffsetBitsIgnored)
 {
     SetAssocArray<int> arr(16, 4);
     arr.insert(line(3) + 17, 9);
-    ASSERT_NE(arr.lookup(line(3) + 42), nullptr);
-    EXPECT_EQ(arr.lookup(line(3))->data, 9);
+    ASSERT_NE(arr.find(line(3) + 42), kNoWay);
+    EXPECT_EQ(arr.data(arr.find(line(3))), 9);
 }
 
 TEST(SetAssocArray, ReinsertOverwritesPayloadWithoutEviction)
@@ -75,7 +111,7 @@ TEST(SetAssocArray, ReinsertOverwritesPayloadWithoutEviction)
     arr.insert(line(3), 1);
     const auto res = arr.insert(line(3), 2);
     EXPECT_FALSE(res.evicted);
-    EXPECT_EQ(arr.lookup(line(3))->data, 2);
+    EXPECT_EQ(arr.data(arr.find(line(3))), 2);
     EXPECT_EQ(arr.occupancy(), 1u);
 }
 
@@ -86,14 +122,14 @@ TEST(SetAssocArray, EvictsLruWhenSetFull)
     arr.insert(line(0), 10);
     arr.insert(line(1), 11);
     // Touch line 0 so line 1 becomes LRU.
-    arr.lookup(line(0));
+    arr.find(line(0));
     const auto res = arr.insert(line(2), 12);
     EXPECT_TRUE(res.evicted);
     EXPECT_EQ(res.evictedAddr, line(1));
     EXPECT_EQ(res.evictedPayload, 11);
-    EXPECT_NE(arr.lookup(line(0)), nullptr);
-    EXPECT_EQ(arr.lookup(line(1)), nullptr);
-    EXPECT_NE(arr.lookup(line(2)), nullptr);
+    EXPECT_TRUE(arr.contains(line(0)));
+    EXPECT_FALSE(arr.contains(line(1)));
+    EXPECT_TRUE(arr.contains(line(2)));
 }
 
 TEST(SetAssocArray, LookupWithoutTouchDoesNotAffectLru)
@@ -101,7 +137,7 @@ TEST(SetAssocArray, LookupWithoutTouchDoesNotAffectLru)
     SetAssocArray<int> arr(2, 2);
     arr.insert(line(0), 10);
     arr.insert(line(1), 11);
-    arr.lookup(line(0), /*touch=*/false); // line 0 stays LRU
+    arr.find(line(0), /*touch=*/false); // line 0 stays LRU
     const auto res = arr.insert(line(2), 12);
     EXPECT_TRUE(res.evicted);
     EXPECT_EQ(res.evictedAddr, line(0));
@@ -112,7 +148,7 @@ TEST(SetAssocArray, EraseFreesTheWay)
     SetAssocArray<int> arr(4, 2);
     arr.insert(line(0), 1);
     EXPECT_TRUE(arr.erase(line(0)));
-    EXPECT_EQ(arr.lookup(line(0)), nullptr);
+    EXPECT_FALSE(arr.contains(line(0)));
     EXPECT_FALSE(arr.erase(line(0)));
     EXPECT_EQ(arr.occupancy(), 0u);
 }
@@ -128,7 +164,7 @@ TEST(SetAssocArray, DifferentSetsDoNotInterfere)
     arr.insert(line(4), 4);
     EXPECT_EQ(arr.occupancy(), 5u);
     for (std::uint64_t i = 0; i <= 4; ++i)
-        ASSERT_NE(arr.lookup(line(i)), nullptr) << i;
+        ASSERT_TRUE(arr.contains(line(i))) << i;
 }
 
 TEST(SetAssocArray, ClearInvalidatesEverything)
@@ -139,7 +175,7 @@ TEST(SetAssocArray, ClearInvalidatesEverything)
     arr.clear();
     EXPECT_EQ(arr.occupancy(), 0u);
     for (std::uint64_t i = 0; i < 6; ++i)
-        EXPECT_EQ(arr.lookup(line(i)), nullptr);
+        EXPECT_FALSE(arr.contains(line(i)));
 }
 
 TEST(SetAssocArray, ForEachValidVisitsAllEntries)
@@ -190,7 +226,7 @@ TEST(SetAssocArray, RanksStayDenseAcrossEraseAndRefill)
     EXPECT_TRUE(arr.erase(line(0)));
     arr.insert(line(4), 4);
     arr.insert(line(5), 5);
-    arr.lookup(line(1)); // recency now 2 < 4 < 5 < 1
+    arr.find(line(1)); // recency now 2 < 4 < 5 < 1
     const auto res = arr.insert(line(6), 6);
     EXPECT_TRUE(res.evicted);
     EXPECT_EQ(res.evictedAddr, line(2));
@@ -256,29 +292,29 @@ TEST_P(LruDifferential, RankMatchesClockReferenceOnRandomScript)
         }
         case 3:
         case 4: { // a hit that refreshes recency
-            const auto *got = arr.lookup(l, true);
+            const std::size_t got = arr.find(l, true);
             const auto *want = ref.lookup(l, true);
-            ASSERT_EQ(got != nullptr, want != nullptr) << op;
-            if (got) {
-                ASSERT_EQ(got->data, want->data) << op;
+            ASSERT_EQ(got != kNoWay, want != nullptr) << op;
+            if (want) {
+                ASSERT_EQ(arr.data(got), want->data) << op;
             }
             break;
         }
         case 5: { // a probe that must not
-            const auto *got = arr.lookup(l, false);
+            const std::size_t got = arr.find(l, false);
             const auto *want = ref.lookup(l, false);
-            ASSERT_EQ(got != nullptr, want != nullptr) << op;
+            ASSERT_EQ(got != kNoWay, want != nullptr) << op;
             break;
         }
         case 6:
             ASSERT_EQ(arr.erase(l), ref.erase(l)) << op;
             break;
         default: { // invalidation through the way, as L2Cache does it
-            const std::size_t set = arr.setIndex(l);
-            auto *way = arr.lookupInSet(set, l, false);
-            const bool had = way != nullptr;
+            const std::size_t way =
+                arr.findInSet(arr.setIndex(l), lineAddr(l), false);
+            const bool had = way != kNoWay;
             if (had)
-                arr.eraseWay(set, *way);
+                arr.eraseWay(way);
             ASSERT_EQ(had, ref.erase(l)) << op;
             break;
         }

@@ -316,7 +316,8 @@ TEST_F(CoreModelTest, SmallerWindowRunsSlower)
         Machine m(MachineConfig::testDefault(Algorithm::Lazy));
         CoreParams p;
         p.maxOutstanding = 1;
-        WorkloadRunner r(m.queue(), m.controller(), make_traces(), p);
+        const CoreTraces traces = make_traces();
+        WorkloadRunner r(m.queue(), m.controller(), traces, p);
         r.run();
         slow = m.queue().now();
     }
@@ -324,7 +325,8 @@ TEST_F(CoreModelTest, SmallerWindowRunsSlower)
         Machine m(MachineConfig::testDefault(Algorithm::Lazy));
         CoreParams p;
         p.maxOutstanding = 8;
-        WorkloadRunner r(m.queue(), m.controller(), make_traces(), p);
+        const CoreTraces traces = make_traces();
+        WorkloadRunner r(m.queue(), m.controller(), traces, p);
         r.run();
         fast = m.queue().now();
     }
