@@ -1,17 +1,15 @@
 /**
  * @file
- * Head-to-head scheduler benchmark: the hierarchical timing wheel vs
- * the reference binary heap, on the event shapes the simulator actually
- * produces. Three scenarios:
+ * Head-to-head scheduler benchmark: EventQueue's hierarchical timing
+ * wheel vs the reference binary heap the tests check it against
+ * (tests/reference_heap_queue.hh), on the event shapes the simulator
+ * actually produces. Two scenarios:
  *
  *  - steady state: a full queue (1k / 16k pending) with one pop and one
  *    schedule per operation, delays drawn from the ring/bus/memory/
  *    watchdog latency mix — the figure benches' inner loop;
  *  - burst: schedule a batch cold and drain it — experiment setup and
- *    teardown phases;
- *  - reschedule: retarget a tagged entry among many pending — the
- *    express path's cancel/retire operation, O(1) indexed on the wheel
- *    vs an O(pending) scan on the heap.
+ *    teardown phases.
  *
  * Reports ns/op per implementation and the wheel's speedup, and writes
  * BENCH_event_queue.json (schema in docs/METRICS.md). The acceptance
@@ -27,6 +25,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "reference_heap_queue.hh"
 #include "sim/event_queue.hh"
 
 namespace flexsnoop
@@ -102,16 +101,28 @@ drawDelays()
     return delays;
 }
 
+/** Size each scheduler for a run of up to @p events pending. */
+void
+prepare(EventQueue &q, std::size_t)
+{
+    q.configureWheel(1024); // what MachineConfig::paperDefault derives
+}
+
+void
+prepare(ReferenceHeapQueue &q, std::size_t events)
+{
+    q.reserve(events);
+}
+
 /** Steady-state schedule/pop at ~@p depth pending events. @return ns
  *  per (pop + schedule) pair. */
+template <typename Queue>
 double
-steadyStateNsPerOp(EventQueue::Impl impl, std::size_t depth,
-                   std::size_t ops)
+steadyStateNsPerOp(std::size_t depth, std::size_t ops)
 {
     static const std::vector<Cycle> delays = drawDelays();
-    EventQueue q(impl);
-    q.configureWheel(1024); // what MachineConfig::paperDefault derives
-    q.reserve(depth + 1);
+    Queue q;
+    prepare(q, depth + 1);
     std::uint64_t sink = 0;
     for (std::size_t i = 0; i < depth; ++i)
         q.schedule(delays[i & kDelayMask], [&sink]() { ++sink; });
@@ -130,14 +141,13 @@ steadyStateNsPerOp(EventQueue::Impl impl, std::size_t depth,
 }
 
 /** Cold batch schedule + full drain. @return ns per event. */
+template <typename Queue>
 double
-burstNsPerEvent(EventQueue::Impl impl, std::size_t batch,
-                std::size_t rounds)
+burstNsPerEvent(std::size_t batch, std::size_t rounds)
 {
     static const std::vector<Cycle> delays = drawDelays();
-    EventQueue q(impl);
-    q.configureWheel(1024);
-    q.reserve(batch);
+    Queue q;
+    prepare(q, batch);
     std::uint64_t sink = 0;
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t r = 0; r < rounds; ++r) {
@@ -149,34 +159,6 @@ burstNsPerEvent(EventQueue::Impl impl, std::size_t batch,
     if (sink != batch * rounds)
         std::cerr << "burst sink mismatch\n";
     return toNs(stop - start) / static_cast<double>(batch * rounds);
-}
-
-/** Retarget one tagged entry among @p depth pending events, @p ops
- *  times. @return ns per reschedule. */
-double
-rescheduleNsPerOp(EventQueue::Impl impl, std::size_t depth,
-                  std::size_t ops)
-{
-    static const std::vector<Cycle> delays = drawDelays();
-    EventQueue q(impl);
-    q.configureWheel(1024);
-    q.reserve(depth + 1);
-    std::uint64_t sink = 0;
-    for (std::size_t i = 0; i < depth; ++i)
-        q.schedule(500 + delays[i & kDelayMask], [&sink]() { ++sink; });
-    // The tagged entry sits far out, like an express retirement whose
-    // plan keeps being extended.
-    const std::uint64_t tag =
-        q.scheduleAtTagged(1'000'000, [&sink]() { ++sink; });
-
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < ops; ++i) {
-        const Cycle when = 1'000'000 + delays[i & kDelayMask];
-        q.reschedule(tag, when, [&sink]() { ++sink; });
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    q.clear();
-    return toNs(stop - start) / static_cast<double>(ops);
 }
 
 /** Best of five timed runs (after one warmup) to shed scheduler and
@@ -223,51 +205,34 @@ main()
 
     const Pair steady_1k = {
         bestOf([&]() {
-            return steadyStateNsPerOp(EventQueue::Impl::Heap, 1024,
-                                      ops(2'000'000));
+            return steadyStateNsPerOp<ReferenceHeapQueue>(
+                1024, ops(2'000'000));
         }),
         bestOf([&]() {
-            return steadyStateNsPerOp(EventQueue::Impl::Wheel, 1024,
-                                      ops(2'000'000));
+            return steadyStateNsPerOp<EventQueue>(1024, ops(2'000'000));
         })};
     report("steady 1k pending   ", steady_1k);
 
     const Pair steady_16k = {
         bestOf([&]() {
-            return steadyStateNsPerOp(EventQueue::Impl::Heap, 16384,
-                                      ops(2'000'000));
+            return steadyStateNsPerOp<ReferenceHeapQueue>(
+                16384, ops(2'000'000));
         }),
         bestOf([&]() {
-            return steadyStateNsPerOp(EventQueue::Impl::Wheel, 16384,
-                                      ops(2'000'000));
+            return steadyStateNsPerOp<EventQueue>(16384, ops(2'000'000));
         })};
     report("steady 16k pending  ", steady_16k);
 
+    const std::size_t burst_rounds =
+        std::max<std::size_t>(1, static_cast<std::size_t>(40 * scale));
     const Pair burst = {
         bestOf([&]() {
-            return burstNsPerEvent(EventQueue::Impl::Heap, 16384,
-                                   std::max<std::size_t>(
-                                       1, static_cast<std::size_t>(
-                                              40 * scale)));
+            return burstNsPerEvent<ReferenceHeapQueue>(16384, burst_rounds);
         }),
         bestOf([&]() {
-            return burstNsPerEvent(EventQueue::Impl::Wheel, 16384,
-                                   std::max<std::size_t>(
-                                       1, static_cast<std::size_t>(
-                                              40 * scale)));
+            return burstNsPerEvent<EventQueue>(16384, burst_rounds);
         })};
     report("burst 16k batch     ", burst);
-
-    const Pair resched_1k = {
-        bestOf([&]() {
-            return rescheduleNsPerOp(EventQueue::Impl::Heap, 1024,
-                                     ops(200'000));
-        }),
-        bestOf([&]() {
-            return rescheduleNsPerOp(EventQueue::Impl::Wheel, 1024,
-                                     ops(2'000'000));
-        })};
-    report("reschedule 1k depth ", resched_1k);
 
     bench::writeBenchRecord(
         "event_queue",
@@ -279,9 +244,6 @@ main()
          {"speedup_steady16k", steady_16k.speedup()},
          {"ns_per_event_burst_heap", burst.heap},
          {"ns_per_event_burst_wheel", burst.wheel},
-         {"speedup_burst", burst.speedup()},
-         {"ns_per_reschedule1k_heap", resched_1k.heap},
-         {"ns_per_reschedule1k_wheel", resched_1k.wheel},
-         {"speedup_reschedule1k", resched_1k.speedup()}});
+         {"speedup_burst", burst.speedup()}});
     return 0;
 }

@@ -254,13 +254,10 @@ BM_TraceSinkRecord(benchmark::State &state)
 BENCHMARK(BM_TraceSinkRecord)->Arg(0)->Arg(1);
 
 /**
- * Ring-event coalescing microbench: one quiet requester streaming reads
- * to fresh lines on an eager 16-node ring — the express path's best
- * case, and the shape that dominates the low-contention regions of the
- * figure benches. Measures simulator events executed per transaction
- * and wall time with the express path off vs on; the counters the
- * figure benches read are bit-identical either way (enforced by
- * test_express_equivalence), so this is pure simulator speedup.
+ * Ring-event microbench: one quiet requester streaming reads to fresh
+ * lines on an eager 16-node ring, every snoop taking real ring hops.
+ * Records simulator events executed per transaction (deterministic,
+ * gated) and wall time per reference (informational).
  */
 struct RingEventRun
 {
@@ -269,11 +266,10 @@ struct RingEventRun
 };
 
 RingEventRun
-runRingEventWorkload(bool express, std::size_t refs)
+runRingEventWorkload(std::size_t refs)
 {
     MachineConfig cfg = MachineConfig::paperDefault(Algorithm::Eager, 1);
     cfg.setNumCmps(16);
-    cfg.coherence.ringExpress = express;
 
     CoreTraces traces;
     traces.traces.resize(cfg.numCores());
@@ -303,36 +299,23 @@ runRingEventWorkload(bool express, std::size_t refs)
 }
 
 void
-reportRingEventCoalescing()
+reportRingEvents()
 {
     const std::size_t refs =
         static_cast<std::size_t>(4000 * bench::benchScale());
-    // Warm both paths once so page faults and pool growth do not land
-    // in the timed runs.
-    runRingEventWorkload(false, refs / 4);
-    runRingEventWorkload(true, refs / 4);
-    const RingEventRun perhop = runRingEventWorkload(false, refs);
-    const RingEventRun expr = runRingEventWorkload(true, refs);
+    // Warm up once so page faults and pool growth do not land in the
+    // timed run.
+    runRingEventWorkload(refs / 4);
+    const RingEventRun perhop = runRingEventWorkload(refs);
 
-    const double event_ratio = perhop.eventsPerTxn / expr.eventsPerTxn;
-    const double wall_speedup = perhop.nsPerRef / expr.nsPerRef;
-    std::cout << "\nRing event coalescing (eager, 16 nodes, "
-              << refs << " reads):\n"
-              << "  events/txn  per-hop " << perhop.eventsPerTxn
-              << "  express " << expr.eventsPerTxn << "  (" << event_ratio
-              << "x fewer)\n"
-              << "  ns/ref      per-hop " << perhop.nsPerRef
-              << "  express " << expr.nsPerRef << "  (" << wall_speedup
-              << "x faster)\n";
+    std::cout << "\nRing events (eager, 16 nodes, " << refs << " reads):\n"
+              << "  events/txn " << perhop.eventsPerTxn << "\n"
+              << "  ns/ref     " << perhop.nsPerRef << "\n";
 
     bench::writeBenchRecord(
         "micro_structures",
         {{"events_per_txn_perhop", perhop.eventsPerTxn},
-         {"events_per_txn_express", expr.eventsPerTxn},
-         {"event_reduction_ratio", event_ratio},
-         {"ns_per_ref_perhop", perhop.nsPerRef},
-         {"ns_per_ref_express", expr.nsPerRef},
-         {"wall_speedup_express", wall_speedup}});
+         {"ns_per_ref_perhop", perhop.nsPerRef}});
 }
 
 /**
@@ -725,7 +708,7 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    flexsnoop::reportRingEventCoalescing();
+    flexsnoop::reportRingEvents();
     flexsnoop::reportProbePath();
     flexsnoop::reportTracingOverhead();
     flexsnoop::reportMetricsOverhead();

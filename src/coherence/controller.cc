@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "coherence/express.hh"
 #include "sim/fault_injector.hh"
 #include "sim/log.hh"
 #include "topology/topology.hh"
@@ -71,35 +70,12 @@ CoherenceController::CoherenceController(
             onRingMessage(n, msg);
         });
     }
-    if (_params.ringExpress && !std::getenv("FLEXSNOOP_STRICT_RING"))
-        _express = std::make_unique<ExpressPath>(*this);
     // Escape hatch for equivalence testing: with signatures suppressed
     // every consumer re-hashes the address, and results must stay
     // bit-identical (test_probe_signature relies on this).
     _probeSignatures = !std::getenv("FLEXSNOOP_NO_PROBE_SIG");
 }
 
-CoherenceController::~CoherenceController() = default;
-
-StatGroup *
-CoherenceController::expressStats()
-{
-    return _express ? &_express->stats() : nullptr;
-}
-
-const StatGroup *
-CoherenceController::expressStats() const
-{
-    return _express ? &_express->stats() : nullptr;
-}
-
-void
-CoherenceController::setFaultInjector(FaultInjector *faults)
-{
-    _faults = faults;
-    if (_faults && _faults->armed())
-        _express.reset(); // refuse coalescing: every hop must be real
-}
 
 void
 CoherenceController::setTopology(
@@ -561,10 +537,6 @@ CoherenceController::forwardMessage(NodeId node, const SnoopMessage &msg)
         _c.readLinkMessages.inc();
     else
         _c.writeLinkMessages.inc();
-    // The express path may coalesce the whole remaining run into one
-    // retirement event; the counters above cover its first link.
-    if (_express && _express->trySend(node, msg))
-        return;
     _ring.send(node, msg);
 }
 

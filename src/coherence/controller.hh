@@ -41,7 +41,6 @@
 namespace flexsnoop
 {
 
-class ExpressPath;
 class FaultInjector;
 class Topology;
 
@@ -79,7 +78,6 @@ class CoherenceController : public RequestPort
                         EnergyModel &energy, SnoopPolicy &policy,
                         std::vector<std::unique_ptr<CmpNode>> &nodes,
                         const CoherenceParams &params);
-    ~CoherenceController() override; // out-of-line: ExpressPath incomplete
 
     void
     setCompletionHandler(CompletionFn fn) override
@@ -130,17 +128,12 @@ class CoherenceController : public RequestPort
     StatGroup &stats() { return _stats; }
     const StatGroup &stats() const { return _stats; }
 
-    /** Express-path stats, or nullptr when the express path is off. */
-    StatGroup *expressStats();
-    const StatGroup *expressStats() const;
+    /** Always nullptr; kept only because the repository benchmark
+     *  (perfbench) still reads it. */
+    const StatGroup *expressStats() const { return nullptr; }
 
-    /**
-     * Install the fault injector (unreliable-ring mode). Arming it
-     * disables the express path: coalesced plans assume loss-free
-     * per-hop delivery, so with injection on every hop must be a real
-     * link event the injector sees.
-     */
-    void setFaultInjector(FaultInjector *faults);
+    /** Install the fault injector (unreliable-ring mode). */
+    void setFaultInjector(FaultInjector *faults) { _faults = faults; }
 
     /**
      * Install the event trace sink (docs/TRACING.md), or remove it with
@@ -430,10 +423,6 @@ class CoherenceController : public RequestPort
      *  its allocated chunk, so per-hop gate churn (and FlatMap slot
      *  moves) never touches the heap in steady state. */
     std::vector<FlatMap<GateLine *>> _gates;
-
-    /** Coalesced pass-through runs; null when disabled (strict mode). */
-    std::unique_ptr<ExpressPath> _express;
-    friend class ExpressPath; ///< probes/replays controller internals
 
     /** Unreliable-ring mode; null (zero-cost) by default. */
     FaultInjector *_faults = nullptr;

@@ -256,8 +256,6 @@ Machine::resetStats()
 {
     _energy.reset();
     _controller->stats().reset();
-    if (StatGroup *express = _controller->expressStats())
-        express->reset();
     _memory->stats().reset();
     _data->stats().reset();
     if (_faults)

@@ -12,7 +12,6 @@
 #ifndef FLEXSNOOP_NET_RING_HH
 #define FLEXSNOOP_NET_RING_HH
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -134,9 +133,6 @@ class Ring
 
     const RingParams &params() const { return _params; }
 
-    /** Cycle at which the link leaving node @p n is next idle. */
-    Cycle linkFreeAt(NodeId n) const { return _linkFree[n]; }
-
     /** Links still occupied at @p now — the instantaneous ring
      *  occupancy the telemetry sampler records (docs/TELEMETRY.md). */
     std::size_t
@@ -146,50 +142,6 @@ class Ring
         for (const Cycle free_at : _linkFree)
             busy += free_at > now ? 1 : 0;
         return busy;
-    }
-
-    /**
-     * Account one link traversal that the express path performed
-     * without a scheduled per-hop event: bumps the traversal counter
-     * and occupies the link exactly as send() starting at @p start
-     * would have. The caller guarantees @p start >= linkFreeAt(from)
-     * (an express plan is refused otherwise), so no queueing delay is
-     * sampled.
-     */
-    void
-    recordVirtualTraversal(NodeId from, Cycle start)
-    {
-        _linkFree[from] = start + _params.serialization;
-        _linkTraversals.inc();
-    }
-
-    /** Invoke node @p to's arrival handler directly (express path
-     *  retirement: the coalesced arrival event delivers here). */
-    void
-    deliver(NodeId to, const SnoopMessage &msg)
-    {
-        assert(_handlers[to] && "message arrived at node with no handler");
-        _handlers[to](msg);
-    }
-
-    /** Park a copy of @p msg in the in-flight pool; the returned slot
-     *  pointer is stable and must be handed to deliverParked(). Lets
-     *  callers scheduling their own arrival events (the express path's
-     *  cancel fall-back) capture 8 bytes instead of the message. */
-    SnoopMessage *
-    park(const SnoopMessage &msg)
-    {
-        SnoopMessage *slot = _inFlight.acquire();
-        *slot = msg;
-        return slot;
-    }
-
-    /** Deliver a parked message to node @p to and recycle the slot. */
-    void
-    deliverParked(NodeId to, SnoopMessage *slot)
-    {
-        deliver(to, *slot);
-        _inFlight.release(slot);
     }
 
     StatGroup &stats() { return _stats; }

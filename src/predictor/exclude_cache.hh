@@ -47,14 +47,6 @@ class ExcludeCache
                SetAssocArray<Empty>::kNoWay;
     }
 
-    /** contains() without the LRU touch; the express probe must not
-     *  perturb replacement state. The answer is identical. */
-    bool
-    peek(Addr line) const
-    {
-        return _array.contains(lineAddr(line));
-    }
-
     std::size_t occupancy() const { return _array.occupancy(); }
 
     std::uint64_t

@@ -34,12 +34,6 @@ class PerfectPredictor : public SupplierPredictor
         return _truth(lineAddr(line));
     }
 
-    bool
-    wouldPredict(Addr line) const override
-    {
-        return _truth(lineAddr(line));
-    }
-
     void supplierGained(Addr line) override { (void)line; }
     void supplierLost(Addr line) override { (void)line; }
 

@@ -47,23 +47,6 @@ class PresencePredictor
      *  to hashing the address otherwise. Same answer either way. */
     bool mayBePresent(Addr line, const ProbeSignature &sig);
 
-    /** mayBePresent() without counting the lookup; used by the express
-     *  probe (the replay performs the real, counted lookup). */
-    bool
-    wouldBePresent(Addr line) const
-    {
-        return _filter.mayContain(lineAddr(line));
-    }
-
-    /** wouldBePresent() with the signature fast path. */
-    bool
-    wouldBePresent(Addr line, const ProbeSignature &sig) const
-    {
-        if (!sigUsable(line, sig))
-            return wouldBePresent(line);
-        return _filter.mayContain(sig.presence);
-    }
-
     /** Fill @p out with this filter's indices for @p line; returns the
      *  field count (ProbeSignature bookkeeping). */
     unsigned

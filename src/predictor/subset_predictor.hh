@@ -33,12 +33,6 @@ class SubsetPredictor : public SupplierPredictor
     void supplierGained(Addr line) override;
     void supplierLost(Addr line) override;
 
-    bool
-    wouldPredict(Addr line) const override
-    {
-        return _array.contains(lineAddr(line));
-    }
-
     Cycle accessLatency() const override { return _latency; }
     bool mayFalsePositive() const override { return false; }
     bool mayFalseNegative() const override { return true; }

@@ -55,30 +55,6 @@ SupersetPredictor::predict(Addr line, const ProbeSignature &sig)
     return true;
 }
 
-bool
-SupersetPredictor::wouldPredict(Addr line) const
-{
-    line = lineAddr(line);
-    if (!_filter.mayContain(line))
-        return false;
-    if (_exclude && _exclude->peek(line))
-        return false;
-    return true;
-}
-
-bool
-SupersetPredictor::wouldPredict(Addr line, const ProbeSignature &sig) const
-{
-    line = lineAddr(line);
-    const bool hit = sigUsable(line, sig) ? _filter.mayContain(sig.supplier)
-                                          : _filter.mayContain(line);
-    if (!hit)
-        return false;
-    if (_exclude && _exclude->peek(line))
-        return false;
-    return true;
-}
-
 unsigned
 SupersetPredictor::fillSignature(Addr line, std::uint32_t *out) const
 {

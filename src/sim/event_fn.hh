@@ -2,10 +2,9 @@
  * @file
  * Move-only callable wrapper used by the event scheduler.
  *
- * Lives in its own header so both scheduler implementations (the
- * hierarchical timing wheel in timing_wheel.hh and the reference binary
- * heap inside event_queue.cc) can store callables without pulling in
- * the full EventQueue interface.
+ * Lives in its own header so the timing wheel (timing_wheel.hh) and
+ * the tests' reference heap (tests/reference_heap_queue.hh) can store
+ * callables without pulling in the full EventQueue interface.
  */
 
 #ifndef FLEXSNOOP_SIM_EVENT_FN_HH

@@ -1,110 +1,7 @@
 #include "sim/event_queue.hh"
 
-#include <cassert>
-#include <cstdlib>
-#include <utility>
-
 namespace flexsnoop
 {
-namespace
-{
-
-EventQueue::Impl
-implFromEnv()
-{
-    return std::getenv("FLEXSNOOP_HEAP_QUEUE") ? EventQueue::Impl::Heap
-                                               : EventQueue::Impl::Wheel;
-}
-
-} // namespace
-
-EventQueue::EventQueue() : EventQueue(implFromEnv()) {}
-
-EventQueue::EventQueue(Impl impl) : _impl(impl)
-{
-    if (std::getenv("FLEXSNOOP_QUEUE_STATS"))
-        _wheel.enableHorizonHistogram(true);
-}
-
-// Heap (reference implementation) ------------------------------------
-
-void
-EventQueue::siftUp(std::size_t i)
-{
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!_heap[i].before(_heap[parent]))
-            break;
-        std::swap(_heap[i], _heap[parent]);
-        i = parent;
-    }
-}
-
-void
-EventQueue::siftDown(std::size_t i)
-{
-    const std::size_t n = _heap.size();
-    while (true) {
-        const std::size_t left = 2 * i + 1;
-        if (left >= n)
-            break;
-        std::size_t best = left;
-        const std::size_t right = left + 1;
-        if (right < n && _heap[right].before(_heap[left]))
-            best = right;
-        if (!_heap[best].before(_heap[i]))
-            break;
-        std::swap(_heap[i], _heap[best]);
-        i = best;
-    }
-}
-
-EventQueue::Entry
-EventQueue::popTop()
-{
-    assert(!_heap.empty());
-    Entry top = std::move(_heap.front());
-    if (_heap.size() > 1) {
-        _heap.front() = std::move(_heap.back());
-        _heap.pop_back();
-        siftDown(0);
-    } else {
-        _heap.pop_back();
-    }
-    return top;
-}
-
-// Shared interface ---------------------------------------------------
-
-void
-EventQueue::reschedule(std::uint64_t seq, Cycle when, EventFn fn)
-{
-    assert(when >= _now && "cannot schedule into the past");
-    if (when > _maxScheduledAt)
-        _maxScheduledAt = when;
-    if (_impl == Impl::Wheel) {
-        const bool found =
-            _wheel.reschedule(seq, _now, when, std::move(fn));
-        assert(found && "reschedule: no pending entry with that seq");
-        (void)found;
-        return;
-    }
-    // Reference heap: linear scan, O(pending).
-    for (std::size_t i = 0; i < _heap.size(); ++i) {
-        if (_heap[i].seq != seq)
-            continue;
-        _heap[i].when = when;
-        _heap[i].fn = std::move(fn);
-        // The entry may now order either earlier or later than before;
-        // restore the heap in whichever direction applies.
-        if (i > 0 && _heap[i].before(_heap[(i - 1) / 2]))
-            siftUp(i);
-        else
-            siftDown(i);
-        return;
-    }
-    assert(false && "reschedule: no pending entry with that seq");
-}
 
 void
 EventQueue::fireSampleHook()
@@ -134,17 +31,6 @@ EventQueue::run(Cycle limit)
     if (pending() == 0 && _now < limit)
         _now = limit;
     return fired;
-}
-
-void
-EventQueue::clear()
-{
-    // clear() keeps bucket/heap capacity: an EventQueue reused between
-    // experiment repetitions schedules into already-hot storage.
-    if (_impl == Impl::Heap)
-        _heap.clear();
-    else
-        _wheel.clear();
 }
 
 } // namespace flexsnoop

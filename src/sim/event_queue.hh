@@ -6,25 +6,18 @@
  * callables scheduled at absolute cycles; ties are broken by insertion
  * order so simulation is fully deterministic.
  *
- * Two interchangeable scheduler implementations share this interface:
- *
- *  - the default hierarchical timing wheel (timing_wheel.hh), which
- *    makes schedule/pop O(1) for the short, clustered event horizons a
- *    fixed-latency embedded ring produces, and reschedule() an O(1)
- *    indexed operation; and
- *  - the original explicit binary heap, kept as the bit-exact
- *    reference implementation and selected by setting the
- *    FLEXSNOOP_HEAP_QUEUE environment variable (or constructing with
- *    Impl::Heap).
- *
- * Both fire events in strict (cycle, seq) order, so every RunResult —
- * and every .fstrace byte — is identical under either implementation.
+ * The scheduler is a hierarchical timing wheel (timing_wheel.hh), which
+ * makes schedule/pop O(1) for the short, clustered event horizons a
+ * fixed-latency embedded ring produces. Events fire in strict
+ * (cycle, seq) order, exactly the order a binary min-heap over the same
+ * entries gives; tests/reference_heap_queue.hh keeps such a heap as the
+ * differential oracle.
  *
  * The kernel is allocation-light: callables up to EventFn::kInlineSize
  * bytes (every lambda the simulator schedules today) are stored inline
- * in the entry, and bucket/heap storage keeps its capacity across pops
- * and clear()/run cycles, so steady-state operation performs no heap
- * allocation per event.
+ * in the entry, and the wheel's entry arena keeps its capacity across
+ * pops and clear()/run cycles, so steady-state operation performs no
+ * heap allocation per event.
  */
 
 #ifndef FLEXSNOOP_SIM_EVENT_QUEUE_HH
@@ -34,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "sim/event_fn.hh"
 #include "sim/timing_wheel.hh"
@@ -59,34 +51,15 @@ class EventQueue
      */
     static constexpr Cycle kNoEvent = ~Cycle{0};
 
-    /** Scheduler implementation selector. */
-    enum class Impl
-    {
-        Wheel, ///< hierarchical timing wheel (default)
-        Heap,  ///< reference binary heap (FLEXSNOOP_HEAP_QUEUE)
-    };
-
-    /** Implementation from the environment: Impl::Heap when
-     *  FLEXSNOOP_HEAP_QUEUE is set, Impl::Wheel otherwise. */
-    EventQueue();
-
-    /** Force a specific implementation (tests and benches). */
-    explicit EventQueue(Impl impl);
-
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    Impl impl() const { return _impl; }
 
     /** Current simulated time. */
     Cycle now() const { return _now; }
 
     /** Number of events not yet fired. */
-    std::size_t
-    pending() const
-    {
-        return _impl == Impl::Heap ? _heap.size() : _wheel.size();
-    }
+    std::size_t pending() const { return _wheel.size(); }
 
     /** Total events executed since construction. */
     std::uint64_t executed() const { return _executed; }
@@ -108,17 +81,15 @@ class EventQueue
      * Size the wheel's near level to cover @p near_buckets cycles of
      * horizon (rounded up to a power of two). Machines derive this
      * from their latency configuration so the common-case event lands
-     * in the near wheel. Only legal while the queue is empty; a no-op
-     * under the heap implementation.
+     * in the near wheel. Only legal while the queue is empty.
      */
     void
     configureWheel(std::size_t near_buckets)
     {
-        if (_impl == Impl::Wheel)
-            _wheel.configure(near_buckets);
+        _wheel.configure(near_buckets);
     }
 
-    /** Near-wheel bucket count (meaningful under Impl::Wheel). */
+    /** Near-wheel bucket count. */
     std::size_t nearBuckets() const { return _wheel.nearBuckets(); }
 
     /**
@@ -138,88 +109,20 @@ class EventQueue
     scheduleAt(Cycle when, EventFn fn)
     {
         assert(when >= _now && "cannot schedule into the past");
-        // The observer may reschedule() an existing entry (express-plan
-        // cancellation); it runs before this entry is inserted so the
-        // scheduler is consistent throughout.
-        if (_observer)
-            _observer(_observerCtx, when);
         if (when > _maxScheduledAt)
             _maxScheduledAt = when;
-        const std::uint64_t seq = _nextSeq++;
-        if (_impl == Impl::Heap) {
-            _heap.push_back(Entry{when, seq, std::move(fn)});
-            siftUp(_heap.size() - 1);
-        } else {
-            _wheel.insert(
-                _now, WheelEntry{when, WheelEntry::packSeq(seq, false),
-                                 std::move(fn)});
-        }
-    }
-
-    /**
-     * Like scheduleAt(), but returns the entry's sequence number (its
-     * FIFO tie-break rank) so the caller can retarget it later with
-     * reschedule(). Does NOT notify the schedule observer: the only
-     * caller is the express path scheduling its own coalesced arrival,
-     * which must not cancel itself.
-     */
-    std::uint64_t
-    scheduleAtTagged(Cycle when, EventFn fn)
-    {
-        assert(when >= _now && "cannot schedule into the past");
-        if (when > _maxScheduledAt)
-            _maxScheduledAt = when;
-        const std::uint64_t seq = _nextSeq++;
-        if (_impl == Impl::Heap) {
-            _heap.push_back(Entry{when, seq, std::move(fn)});
-            siftUp(_heap.size() - 1);
-        } else {
-            _wheel.insert(
-                _now, WheelEntry{when, WheelEntry::packSeq(seq, true),
-                                 std::move(fn)});
-        }
-        return seq;
+        _wheel.insert(_now, WheelEntry{when, _nextSeq++, std::move(fn)});
     }
 
     /**
      * Earliest cycle at which any pending event fires; kNoEvent when
-     * the queue is empty. O(1): the heap root, or the wheel's cached
-     * minimum (a short bitmap scan right after a bucket drains).
+     * the queue is empty. O(1): the wheel's cached minimum (a short
+     * bitmap scan right after a bucket drains).
      */
     Cycle
     minPendingTime() const
     {
-        if (_impl == Impl::Heap)
-            return _heap.empty() ? kNoEvent : _heap.front().when;
         return _wheel.empty() ? kNoEvent : _wheel.minPending();
-    }
-
-    /**
-     * Retarget the pending entry with sequence number @p seq (from
-     * scheduleAtTagged) to fire @p when running @p fn instead. The
-     * entry keeps its original sequence number, so its tie-break rank
-     * against same-cycle events is exactly what the original
-     * scheduling call order dictated — this is what makes an express
-     * plan's same-cycle fall-back bit-identical to the per-hop path.
-     *
-     * O(1) under the wheel (seq->slot index); O(pending) scan under
-     * the reference heap. Rescheduling a seq that is not pending is a
-     * Debug-build assertion failure.
-     */
-    void reschedule(std::uint64_t seq, Cycle when, EventFn fn);
-
-    /**
-     * Observer invoked (with @p ctx) for every scheduleAt() before the
-     * entry is inserted. Used by the express path to detect same-cycle
-     * interference with an active plan. A raw function pointer keeps
-     * the common (unobserved) path to one predictable branch.
-     */
-    using ScheduleObserver = void (*)(void *ctx, Cycle when);
-    void
-    setScheduleObserver(ScheduleObserver obs, void *ctx)
-    {
-        _observer = obs;
-        _observerCtx = ctx;
     }
 
     /**
@@ -237,9 +140,8 @@ class EventQueue
      * and before the crossing event fires. The hook observes — it must
      * not schedule events or touch machine state — so telemetry never
      * perturbs the schedule: no sampler events sit in the queue to
-     * stretch the drain tail that run() measures, and nothing extra
-     * passes through the schedule observer. Disabled (the default)
-     * it costs one never-taken compare per event.
+     * stretch the drain tail that run() measures. Disabled (the
+     * default) it costs one never-taken compare per event.
      */
     using SampleHook = void (*)(void *ctx, Cycle now);
     void
@@ -256,18 +158,6 @@ class EventQueue
     bool
     step()
     {
-        if (_impl == Impl::Heap) {
-            if (_heap.empty())
-                return false;
-            Entry entry = popTop();
-            assert(entry.when >= _now);
-            _now = entry.when;
-            if (_now >= _nextSampleAt) [[unlikely]]
-                fireSampleHook();
-            ++_executed;
-            entry.fn();
-            return true;
-        }
         if (_wheel.empty())
             return false;
         WheelEntry entry = _wheel.pop();
@@ -284,26 +174,13 @@ class EventQueue
      * Drop all pending events (used between experiment repetitions).
      * The entry storage is retained for reuse.
      */
-    void clear();
+    void clear() { _wheel.clear(); }
 
-    /**
-     * Reserve storage for @p events pending events. Meaningful for the
-     * heap; the wheel's entry arena grows to the peak number of pending
-     * events on its own and keeps that capacity.
-     */
-    void
-    reserve(std::size_t events)
-    {
-        if (_impl == Impl::Heap)
-            _heap.reserve(events);
-    }
-
-    /** Wheel self-measurement (docs/METRICS.md "queue.*"); zeros under
-     *  the heap implementation. */
+    /** Wheel self-measurement (docs/METRICS.md "queue.*"). */
     const TimingWheel &wheel() const { return _wheel; }
 
-    /** Sample the horizon histogram on every schedule (off by default;
-     *  also enabled by the FLEXSNOOP_QUEUE_STATS environment var). */
+    /** Sample the horizon histogram on every schedule (off by
+     *  default). */
     void
     enableHorizonHistogram(bool on)
     {
@@ -311,23 +188,6 @@ class EventQueue
     }
 
   private:
-    /** Heap entry (reference implementation). */
-    struct Entry
-    {
-        Cycle when;
-        std::uint64_t seq;
-        EventFn fn;
-
-        /** Strict priority: earlier cycle first, then insertion order. */
-        bool
-        before(const Entry &other) const
-        {
-            if (when != other.when)
-                return when < other.when;
-            return seq < other.seq;
-        }
-    };
-
     /** Out-of-line slow path of the sampling hook: fire it once for
      *  the crossed boundary, then advance past any skipped intervals
      *  (time jumps in idle stretches; one sample per crossing, not per
@@ -335,21 +195,10 @@ class EventQueue
      *  reads on the next cycle it is clocked). */
     void fireSampleHook();
 
-    /** Move the last element up into its heap position. */
-    void siftUp(std::size_t i);
-    /** Re-establish the heap property downward from the root. */
-    void siftDown(std::size_t i);
-    /** Remove and return the minimum heap entry. */
-    Entry popTop();
-
-    Impl _impl;
     TimingWheel _wheel;
-    std::vector<Entry> _heap; ///< binary min-heap by (when, seq)
     Cycle _now = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
-    ScheduleObserver _observer = nullptr;
-    void *_observerCtx = nullptr;
     Cycle _maxScheduledAt = 0; ///< furthest cycle ever scheduled
     Cycle _nextSampleAt = kNoEvent; ///< kNoEvent = sampling disarmed
     Cycle _sampleInterval = 0;

@@ -120,8 +120,8 @@ TimingWheel::allocate(WheelEntry &&entry)
 }
 
 void
-TimingWheel::insertSorted(std::uint8_t level, std::uint16_t slot,
-                          std::uint32_t idx)
+TimingWheel::append(std::uint8_t level, std::uint16_t slot,
+                    std::uint32_t idx)
 {
     Bucket &bucket = bucketAt(level, slot);
     if (level == 0)
@@ -132,57 +132,20 @@ TimingWheel::insertSorted(std::uint8_t level, std::uint16_t slot,
     Node &node = _arena[idx];
     node.level = level;
     node.slot = slot;
-    const std::uint64_t key = node.entry.seqTag;
+    node.next = kNil;
     if (bucket.tail == kNil) {
-        node.next = kNil;
-        bucket.head = bucket.tail = idx;
-    } else if (_arena[bucket.tail].entry.seqTag < key) {
-        node.next = kNil;
-        _arena[bucket.tail].next = idx;
-        bucket.tail = idx;
+        bucket.head = idx;
     } else {
-        // Rare: only a rescheduled (old-seq) entry lands mid-bucket.
-        // The tail's seq exceeds it, so the walk stops before the end.
-        std::uint32_t prev = kNil;
-        std::uint32_t cur = bucket.head;
-        while (_arena[cur].entry.seqTag < key) {
-            prev = cur;
-            cur = _arena[cur].next;
-        }
-        node.next = cur;
-        if (prev == kNil)
-            bucket.head = idx;
-        else
-            _arena[prev].next = idx;
+        // A new insert carries the largest seq yet, and a cascade
+        // re-files a seq-sorted bucket into empty lower buckets, so
+        // appending keeps every bucket seq-sorted.
+        assert(_arena[bucket.tail].entry.seq < node.entry.seq &&
+               "bucket would lose (cycle, seq) order");
+        _arena[bucket.tail].next = idx;
     }
+    bucket.tail = idx;
     if (++bucket.depth > _maxBucketDepth)
         _maxBucketDepth = bucket.depth;
-}
-
-void
-TimingWheel::unlink(std::uint32_t idx)
-{
-    const Node &node = _arena[idx];
-    Bucket &bucket = bucketAt(node.level, node.slot);
-    std::uint32_t prev = kNil;
-    for (std::uint32_t cur = bucket.head; cur != idx;
-         cur = _arena[cur].next) {
-        assert(cur != kNil && "entry not in its bucket");
-        prev = cur;
-    }
-    if (prev == kNil)
-        bucket.head = node.next;
-    else
-        _arena[prev].next = node.next;
-    if (bucket.tail == idx)
-        bucket.tail = prev;
-    --bucket.depth;
-    if (bucket.head != kNil)
-        return;
-    if (node.level == 0)
-        clrBit(_nearMap, node.slot);
-    else if (node.level != kFarLevel)
-        clrBit(_overMap[node.level - 1], node.slot);
 }
 
 std::uint8_t
@@ -192,7 +155,7 @@ TimingWheel::place(std::uint32_t idx)
     assert(when >= _w0 + _curSlot);
 
     if ((when >> _nearBits) == (_w0 >> _nearBits)) {
-        insertSorted(0, static_cast<std::uint16_t>(when & _nearMask), idx);
+        append(0, static_cast<std::uint16_t>(when & _nearMask), idx);
         return 0;
     }
     for (std::size_t l = 1; l <= kOverflowLevels; ++l) {
@@ -201,11 +164,11 @@ TimingWheel::place(std::uint32_t idx)
             (_w0 >> (g + kOverflowBits))) {
             const auto slot = static_cast<std::uint16_t>(
                 (when >> g) & (kOverflowSlots - 1));
-            insertSorted(static_cast<std::uint8_t>(l), slot, idx);
+            append(static_cast<std::uint8_t>(l), slot, idx);
             return static_cast<std::uint8_t>(l);
         }
     }
-    insertSorted(kFarLevel, 0, idx);
+    append(kFarLevel, 0, idx);
     return kFarLevel;
 }
 
@@ -225,12 +188,7 @@ TimingWheel::insert(Cycle now, WheelEntry entry)
             std::bit_width(entry.when - now));
         ++_horizon[w < kHorizonBuckets ? w : kHorizonBuckets - 1];
     }
-    const bool tagged = entry.tagged();
-    const std::uint64_t seq = entry.seq();
-    const std::uint32_t idx = allocate(std::move(entry));
-    if (tagged)
-        _tagged.put(seq, idx);
-    const std::uint8_t level = place(idx);
+    const std::uint8_t level = place(allocate(std::move(entry)));
     if (level != 0) {
         ++_overflowScheduled;
         if (level == kFarLevel)
@@ -336,8 +294,6 @@ TimingWheel::pop()
     node.next = _free;
     _free = idx;
     --_size;
-    if (entry.tagged())
-        _tagged.erase(entry.seq());
     if (bucket.head != kNil) {
         _minCached = entry.when;
         _minValid = true;
@@ -396,29 +352,6 @@ TimingWheel::recomputeMin() const
     return bucketMin(_far);
 }
 
-bool
-TimingWheel::reschedule(std::uint64_t seq, Cycle now, Cycle when,
-                        EventFn fn)
-{
-    const std::uint32_t *slot = _tagged.find(seq);
-    if (!slot)
-        return false;
-    const std::uint32_t idx = *slot;
-    assert(_arena[idx].entry.seq() == seq && _arena[idx].entry.tagged());
-    unlink(idx);
-
-    WheelEntry &entry = _arena[idx].entry;
-    entry.when = when;
-    entry.fn = std::move(fn);
-    if (_size == 1) {
-        // The wheel is structurally empty now; re-anchor tight.
-        resetTo(now);
-    }
-    place(idx);
-    _minValid = false;
-    return true;
-}
-
 void
 TimingWheel::clear()
 {
@@ -435,7 +368,6 @@ TimingWheel::clear()
     _curSlot = 0;
     _w0 = 0;
     _scan.fill(kOverflowSlots);
-    _tagged.clear();
     _minValid = false;
 }
 

@@ -20,10 +20,6 @@
  * Occupancy bitmaps per level make the "next non-empty bucket" scan a
  * handful of word operations, so draining across empty cycle stretches
  * costs O(horizon / 64) words instead of O(horizon) buckets.
- *
- * A seq->arena-slot index over *tagged* entries (the express path's
- * retirement events) makes reschedule() an O(1) lookup plus an
- * O(bucket) unlink instead of the heap's O(n) scan.
  */
 
 #ifndef FLEXSNOOP_SIM_TIMING_WHEEL_HH
@@ -35,7 +31,6 @@
 #include <vector>
 
 #include "sim/event_fn.hh"
-#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace flexsnoop
@@ -45,20 +40,8 @@ namespace flexsnoop
 struct WheelEntry
 {
     Cycle when;
-    /** (seq << 1) | tagged. The tag rides in the low bit so the packed
-     *  word orders exactly as seq does (seqs are unique), keeping the
-     *  entry at 96 bytes. */
-    std::uint64_t seqTag;
+    std::uint64_t seq; ///< scheduling order: the same-cycle tie-break
     EventFn fn;
-
-    static std::uint64_t
-    packSeq(std::uint64_t seq, bool tagged)
-    {
-        return (seq << 1) | (tagged ? 1u : 0u);
-    }
-    std::uint64_t seq() const { return seqTag >> 1; }
-    /** Tracked in the seq->location index. */
-    bool tagged() const { return (seqTag & 1) != 0; }
 };
 
 class TimingWheel
@@ -100,15 +83,6 @@ class TimingWheel
     /** Earliest pending cycle. Requires !empty(). Cached; O(1) in the
      *  common case, a bitmap scan after a bucket drains. */
     Cycle minPending() const;
-
-    /**
-     * Retarget the pending *tagged* entry @p seq to fire at @p when
-     * running @p fn, keeping its sequence number (and therefore its
-     * FIFO rank against same-cycle events). O(1) index lookup plus an
-     * O(bucket) unlink and relink. @return false when no pending entry
-     * carries @p seq.
-     */
-    bool reschedule(std::uint64_t seq, Cycle now, Cycle when, EventFn fn);
 
     /** Drop all entries; the arena's capacity is retained for reuse. */
     void clear();
@@ -182,13 +156,9 @@ class TimingWheel
      *  @return the level chosen (0 near, 1..3 overflow, kFarLevel). */
     std::uint8_t place(std::uint32_t idx);
 
-    /** Seq-sorted link into one bucket (append in the common case). */
-    void insertSorted(std::uint8_t level, std::uint16_t slot,
-                      std::uint32_t idx);
-
-    /** Unlink arena slot @p idx from its bucket, clearing the bucket's
-     *  occupancy bit when it empties. */
-    void unlink(std::uint32_t idx);
+    /** Append arena slot @p idx to one bucket. Entries reach a bucket
+     *  in seq order, so the append keeps it seq-sorted. */
+    void append(std::uint8_t level, std::uint16_t slot, std::uint32_t idx);
 
     /** Earliest cycle among the entries of @p bucket. */
     Cycle bucketMin(const Bucket &bucket) const;
@@ -243,8 +213,6 @@ class TimingWheel
     std::array<std::size_t, kOverflowLevels> _scan{};
 
     std::size_t _size = 0;
-
-    FlatMap<std::uint32_t> _tagged; ///< seq -> arena slot
 
     mutable bool _minValid = false;
     mutable Cycle _minCached = 0;

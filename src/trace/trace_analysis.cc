@@ -76,7 +76,7 @@ phaseAfter(const TraceRecord &r, Phase current)
       case TraceEvent::RetryScheduled: return Phase::Other;
       case TraceEvent::WatchdogExpire: return Phase::Other;
       default:
-        // Annotations (collisions, faults, express markers, ...) do
+        // Annotations (collisions, faults, snapshots, ...) do
         // not change what the transaction is waiting on.
         return current;
     }
@@ -151,9 +151,6 @@ describe(const TraceRecord &r)
         break;
       case TraceEvent::FaultDelay:
         oss << "extra " << r.arg1;
-        break;
-      case TraceEvent::ExpressRun:
-        oss << r.arg0 << " links coalesced";
         break;
       case TraceEvent::CounterSnapshot:
         oss << toString(static_cast<TraceCounterId>(r.a)) << " = "

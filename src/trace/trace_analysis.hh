@@ -55,7 +55,7 @@ struct TxnTimeline
     Cycle start = 0;         ///< first TxnStart cycle
     Cycle deliver = 0;       ///< completion cycle (when complete)
     std::uint64_t latency = 0; ///< reported latency (when complete)
-    std::uint32_t hops = 0;    ///< ring link traversals (incl. express)
+    std::uint32_t hops = 0;    ///< ring link traversals
     std::uint32_t retries = 0; ///< squash / watchdog reissues
 
     /** Indices into TraceFile::records, stable-sorted by cycle. */

@@ -70,8 +70,6 @@ enum class TraceEvent : std::uint16_t
                     ///< (a = 1 presence / 0 supplier predictor)
 
     // --- Simulator-level markers ---
-    ExpressRun,     ///< express path coalesced a hop chain (node = from,
-                    ///< arg0 = links virtualized, arg1 = retire cycle)
     CounterSnapshot,///< periodic StatGroup sample (a = TraceCounterId,
                     ///< arg0 = counter value)
     MeasureStart,   ///< warmup barrier: statistics were reset here
@@ -128,7 +126,6 @@ toString(TraceEvent e)
       case TraceEvent::FaultDup: return "FaultDup";
       case TraceEvent::FaultDelay: return "FaultDelay";
       case TraceEvent::PredictorFlip: return "PredictorFlip";
-      case TraceEvent::ExpressRun: return "ExpressRun";
       case TraceEvent::CounterSnapshot: return "CounterSnapshot";
       case TraceEvent::MeasureStart: return "MeasureStart";
       case TraceEvent::NumEvents: break;
@@ -178,7 +175,10 @@ static_assert(sizeof(TraceRecord) == 40,
               "record size is part of the file format");
 
 constexpr char kTraceMagic[8] = {'F', 'S', 'T', 'R', 'A', 'C', 'E', '1'};
-constexpr std::uint32_t kTraceVersion = 1;
+/** Version 2 removed a v1 simulator-marker event, renumbering
+ *  CounterSnapshot and MeasureStart; the reader rejects any other
+ *  version. */
+constexpr std::uint32_t kTraceVersion = 2;
 
 /** Buffer-overflow policy of the capture ring (TraceConfig::Mode). */
 enum class TraceMode : std::uint32_t

@@ -2,12 +2,12 @@
  * @file
  * Unit tests for the discrete-event kernel.
  *
- * Every behavioural test runs against both scheduler implementations
- * (the default hierarchical timing wheel and the reference binary
- * heap); wheel-specific structure — cascades, the far list, sizing,
- * the horizon histogram, the entry arena's storage bound — is covered
- * separately, and a randomized differential test drives both
- * implementations with one script and demands identical fire order.
+ * Behavioural tests run against EventQueue; wheel-specific structure —
+ * cascades, the far list, sizing, the horizon histogram, the entry
+ * arena's storage bound — is covered separately, and a randomized
+ * differential test drives EventQueue and the reference binary heap
+ * (reference_heap_queue.hh) with one script and demands identical fire
+ * order.
  */
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_heap_queue.hh"
 #include "sim/event_queue.hh"
 
 namespace flexsnoop
@@ -26,29 +27,18 @@ namespace flexsnoop
 namespace
 {
 
-class EventQueueImpl : public ::testing::TestWithParam<EventQueue::Impl>
+TEST(EventQueue, StartsAtCycleZeroAndEmpty)
 {
-  protected:
-    EventQueue q{GetParam()};
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    BothImpls, EventQueueImpl,
-    ::testing::Values(EventQueue::Impl::Wheel, EventQueue::Impl::Heap),
-    [](const ::testing::TestParamInfo<EventQueue::Impl> &info) {
-        return info.param == EventQueue::Impl::Wheel ? "Wheel" : "Heap";
-    });
-
-TEST_P(EventQueueImpl, StartsAtCycleZeroAndEmpty)
-{
+    EventQueue q;
     EXPECT_EQ(q.now(), 0u);
     EXPECT_EQ(q.pending(), 0u);
     EXPECT_EQ(q.executed(), 0u);
     EXPECT_EQ(q.minPendingTime(), EventQueue::kNoEvent);
 }
 
-TEST_P(EventQueueImpl, ExecutesEventAtScheduledCycle)
+TEST(EventQueue, ExecutesEventAtScheduledCycle)
 {
+    EventQueue q;
     Cycle fired_at = 0;
     q.schedule(42, [&]() { fired_at = q.now(); });
     EXPECT_EQ(q.minPendingTime(), 42u);
@@ -57,8 +47,9 @@ TEST_P(EventQueueImpl, ExecutesEventAtScheduledCycle)
     EXPECT_EQ(q.now(), 42u);
 }
 
-TEST_P(EventQueueImpl, ZeroDelayEventRunsAtCurrentCycle)
+TEST(EventQueue, ZeroDelayEventRunsAtCurrentCycle)
 {
+    EventQueue q;
     bool fired = false;
     q.schedule(0, [&]() { fired = true; });
     q.run();
@@ -66,8 +57,9 @@ TEST_P(EventQueueImpl, ZeroDelayEventRunsAtCurrentCycle)
     EXPECT_EQ(q.now(), 0u);
 }
 
-TEST_P(EventQueueImpl, EventsFireInTimeOrder)
+TEST(EventQueue, EventsFireInTimeOrder)
 {
+    EventQueue q;
     std::vector<int> order;
     q.schedule(30, [&]() { order.push_back(3); });
     q.schedule(10, [&]() { order.push_back(1); });
@@ -76,8 +68,9 @@ TEST_P(EventQueueImpl, EventsFireInTimeOrder)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueImpl, SameCycleEventsFireFifo)
+TEST(EventQueue, SameCycleEventsFireFifo)
 {
+    EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
         q.schedule(5, [&order, i]() { order.push_back(i); });
@@ -87,8 +80,9 @@ TEST_P(EventQueueImpl, SameCycleEventsFireFifo)
         EXPECT_EQ(order[i], i);
 }
 
-TEST_P(EventQueueImpl, EventsMayScheduleMoreEvents)
+TEST(EventQueue, EventsMayScheduleMoreEvents)
 {
+    EventQueue q;
     int count = 0;
     std::function<void()> chain = [&]() {
         ++count;
@@ -101,8 +95,9 @@ TEST_P(EventQueueImpl, EventsMayScheduleMoreEvents)
     EXPECT_EQ(q.now(), 50u);
 }
 
-TEST_P(EventQueueImpl, RunHonorsCycleLimit)
+TEST(EventQueue, RunHonorsCycleLimit)
 {
+    EventQueue q;
     int fired = 0;
     q.schedule(10, [&]() { ++fired; });
     q.schedule(100, [&]() { ++fired; });
@@ -113,8 +108,9 @@ TEST_P(EventQueueImpl, RunHonorsCycleLimit)
     EXPECT_EQ(fired, 2);
 }
 
-TEST_P(EventQueueImpl, StepExecutesExactlyOneEvent)
+TEST(EventQueue, StepExecutesExactlyOneEvent)
 {
+    EventQueue q;
     int fired = 0;
     q.schedule(1, [&]() { ++fired; });
     q.schedule(2, [&]() { ++fired; });
@@ -125,8 +121,9 @@ TEST_P(EventQueueImpl, StepExecutesExactlyOneEvent)
     EXPECT_FALSE(q.step());
 }
 
-TEST_P(EventQueueImpl, ClearDropsPendingEvents)
+TEST(EventQueue, ClearDropsPendingEvents)
 {
+    EventQueue q;
     int fired = 0;
     q.schedule(1, [&]() { ++fired; });
     q.clear();
@@ -134,16 +131,18 @@ TEST_P(EventQueueImpl, ClearDropsPendingEvents)
     EXPECT_EQ(fired, 0);
 }
 
-TEST_P(EventQueueImpl, ExecutedCountsAllFiredEvents)
+TEST(EventQueue, ExecutedCountsAllFiredEvents)
 {
+    EventQueue q;
     for (int i = 0; i < 17; ++i)
         q.schedule(i, []() {});
     q.run();
     EXPECT_EQ(q.executed(), 17u);
 }
 
-TEST_P(EventQueueImpl, ScheduleAtAbsoluteCycle)
+TEST(EventQueue, ScheduleAtAbsoluteCycle)
 {
+    EventQueue q;
     q.schedule(10, []() {});
     q.run();
     Cycle fired_at = 0;
@@ -152,8 +151,9 @@ TEST_P(EventQueueImpl, ScheduleAtAbsoluteCycle)
     EXPECT_EQ(fired_at, 25u);
 }
 
-TEST_P(EventQueueImpl, NestedZeroDelayPreservesFifoWithinCycle)
+TEST(EventQueue, NestedZeroDelayPreservesFifoWithinCycle)
 {
+    EventQueue q;
     std::vector<int> order;
     q.schedule(5, [&]() {
         order.push_back(1);
@@ -164,8 +164,9 @@ TEST_P(EventQueueImpl, NestedZeroDelayPreservesFifoWithinCycle)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueImpl, SameCycleFifoSurvivesHeavyInterleaving)
+TEST(EventQueue, SameCycleFifoSurvivesHeavyInterleaving)
 {
+    EventQueue q;
     // Stress the tie-breaking: many events on a few cycles, scheduled
     // in a scattered order, must still fire grouped by cycle and FIFO
     // within each cycle.
@@ -188,8 +189,9 @@ TEST_P(EventQueueImpl, SameCycleFifoSurvivesHeavyInterleaving)
     }
 }
 
-TEST_P(EventQueueImpl, ClearThenReuseSchedulesFreshEvents)
+TEST(EventQueue, ClearThenReuseSchedulesFreshEvents)
 {
+    EventQueue q;
     int dropped = 0, fired = 0;
     q.schedule(10, [&]() { ++dropped; });
     q.schedule(20, [&]() { ++dropped; });
@@ -209,8 +211,9 @@ TEST_P(EventQueueImpl, ClearThenReuseSchedulesFreshEvents)
     EXPECT_EQ(q.now(), 7u);
 }
 
-TEST_P(EventQueueImpl, LargeCaptureFallsBackToHeapAndRuns)
+TEST(EventQueue, LargeCaptureFallsBackToHeapAndRuns)
 {
+    EventQueue q;
     // A capture bigger than EventFn's inline buffer must still execute
     // correctly (heap fallback path).
     std::array<std::uint64_t, 32> payload{};
@@ -227,8 +230,9 @@ TEST_P(EventQueueImpl, LargeCaptureFallsBackToHeapAndRuns)
     EXPECT_EQ(sum, 32u * 33u / 2u);
 }
 
-TEST_P(EventQueueImpl, MoveOnlyCallablesAreSupported)
+TEST(EventQueue, MoveOnlyCallablesAreSupported)
 {
+    EventQueue q;
     // EventFn is move-only, so callables owning resources (unique_ptr)
     // can be scheduled directly — std::function could not hold these.
     auto owned = std::make_unique<int>(41);
@@ -238,21 +242,11 @@ TEST_P(EventQueueImpl, MoveOnlyCallablesAreSupported)
     EXPECT_EQ(result, 42);
 }
 
-TEST_P(EventQueueImpl, ReservePreservesBehavior)
-{
-    q.reserve(1024);
-    int fired = 0;
-    for (int i = 0; i < 100; ++i)
-        q.schedule(static_cast<Cycle>(100 - i), [&]() { ++fired; });
-    q.run();
-    EXPECT_EQ(fired, 100);
-    EXPECT_EQ(q.now(), 100u);
-}
+// Edge behaviour -------------------------------------------------------
 
-// Edge behaviour shared by both implementations --------------------------
-
-TEST_P(EventQueueImpl, MinPendingTimeTracksTheFrontier)
+TEST(EventQueue, MinPendingTimeTracksTheFrontier)
 {
+    EventQueue q;
     q.schedule(90, []() {});
     q.schedule(40, []() {});
     EXPECT_EQ(q.minPendingTime(), 40u);
@@ -266,8 +260,9 @@ TEST_P(EventQueueImpl, MinPendingTimeTracksTheFrontier)
     EXPECT_EQ(q.minPendingTime(), EventQueue::kNoEvent);
 }
 
-TEST_P(EventQueueImpl, LongIdleJumpThenZeroDelay)
+TEST(EventQueue, LongIdleJumpThenZeroDelay)
 {
+    EventQueue q;
     // Drain far past the near window, then schedule at the new now:
     // the wheel must re-anchor, not wrap onto stale buckets.
     std::vector<Cycle> fired;
@@ -280,8 +275,9 @@ TEST_P(EventQueueImpl, LongIdleJumpThenZeroDelay)
     EXPECT_EQ(fired, (std::vector<Cycle>{1'000'000, 1'000'000, 1'000'003}));
 }
 
-TEST_P(EventQueueImpl, SameCycleFifoAcrossWheelWrap)
+TEST(EventQueue, SameCycleFifoAcrossWheelWrap)
 {
+    EventQueue q;
     // Pairs of same-cycle events on cycles straddling several near-
     // window wraps (the wheel defaults to 256 single-cycle buckets):
     // FIFO within a cycle must hold no matter which wrap the bucket
@@ -304,8 +300,9 @@ TEST_P(EventQueueImpl, SameCycleFifoAcrossWheelWrap)
         }
 }
 
-TEST_P(EventQueueImpl, DelaysSpanningEveryWheelLevel)
+TEST(EventQueue, DelaysSpanningEveryWheelLevel)
 {
+    EventQueue q;
     // One event per structural region of the wheel: current bucket,
     // near window, each overflow level, and the far list — scheduled
     // out of order, fired in order.
@@ -319,78 +316,15 @@ TEST_P(EventQueueImpl, DelaysSpanningEveryWheelLevel)
     };
     std::vector<Cycle> fired;
     for (const Cycle d : delays)
-        q.schedule(d, [&fired, &q = q]() { fired.push_back(q.now()); });
+        q.schedule(d, [&fired, &q]() { fired.push_back(q.now()); });
     q.run();
     std::vector<Cycle> expect(delays.rbegin(), delays.rend());
     EXPECT_EQ(fired, expect);
 }
 
-TEST_P(EventQueueImpl, RescheduleToLaterCycle)
+TEST(EventQueue, RunWithNoEventLimitDrainsEverything)
 {
-    std::vector<int> order;
-    const std::uint64_t tag =
-        q.scheduleAtTagged(10, [&]() { order.push_back(0); });
-    q.schedule(20, [&]() { order.push_back(1); });
-    q.reschedule(tag, 30, [&]() { order.push_back(2); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(q.now(), 30u);
-}
-
-TEST_P(EventQueueImpl, RescheduleToEarlierCycle)
-{
-    std::vector<int> order;
-    q.schedule(20, [&]() { order.push_back(1); });
-    const std::uint64_t tag =
-        q.scheduleAtTagged(500, [&]() { order.push_back(0); });
-    q.reschedule(tag, 5, [&]() { order.push_back(2); });
-    EXPECT_EQ(q.minPendingTime(), 5u);
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{2, 1}));
-    EXPECT_EQ(q.now(), 20u);
-}
-
-TEST_P(EventQueueImpl, RescheduleKeepsFifoRank)
-{
-    // The express path's correctness hinges on this: a rescheduled
-    // entry keeps its original sequence number, so when it lands on a
-    // cycle where other events already sit, it sorts by the original
-    // scheduling order — before later-scheduled events, after earlier
-    // ones.
-    std::vector<int> order;
-    q.schedule(40, [&]() { order.push_back(0); }); // seq 0
-    const std::uint64_t tag =
-        q.scheduleAtTagged(900, [&]() {});         // seq 1
-    q.schedule(40, [&]() { order.push_back(2); }); // seq 2
-    q.reschedule(tag, 40, [&]() { order.push_back(1); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST_P(EventQueueImpl, RescheduleAcrossWheelLevels)
-{
-    // Retarget between structurally different homes: near -> far,
-    // far -> near, overflow -> same cycle as a near neighbour.
-    std::vector<int> order;
-    const std::uint64_t a =
-        q.scheduleAtTagged(50, [&]() { order.push_back(-1); });
-    q.reschedule(a, 1ull << 30, [&]() { order.push_back(3); });
-
-    const std::uint64_t b =
-        q.scheduleAtTagged(1ull << 40, [&]() { order.push_back(-1); });
-    q.reschedule(b, 7, [&]() { order.push_back(0); });
-
-    q.schedule(100'000, [&]() { order.push_back(2); });
-    const std::uint64_t c =
-        q.scheduleAtTagged(5'000, [&]() { order.push_back(-1); });
-    q.reschedule(c, 60, [&]() { order.push_back(1); });
-
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST_P(EventQueueImpl, RunWithNoEventLimitDrainsEverything)
-{
+    EventQueue q;
     int fired = 0;
     q.schedule(10, [&]() { ++fired; });
     q.schedule(1ull << 35, [&]() { ++fired; });
@@ -403,7 +337,7 @@ TEST_P(EventQueueImpl, RunWithNoEventLimitDrainsEverything)
 
 TEST(TimingWheelQueue, ConfigureRoundsToPowerOfTwoAndClamps)
 {
-    EventQueue q(EventQueue::Impl::Wheel);
+    EventQueue q;
     q.configureWheel(1420); // rounds up to the next power of two
     EXPECT_EQ(q.nearBuckets(), 2048u);
     q.configureWheel(64);
@@ -417,7 +351,7 @@ TEST(TimingWheelQueue, ConfigureRoundsToPowerOfTwoAndClamps)
 TEST(TimingWheelQueue, ConfiguredSizeStillFiresInOrder)
 {
     for (const std::size_t buckets : {64u, 256u, 4096u}) {
-        EventQueue q(EventQueue::Impl::Wheel);
+        EventQueue q;
         q.configureWheel(buckets);
         std::vector<Cycle> fired;
         for (const Cycle d : {5000u, 63u, 700u, 0u, 65u})
@@ -430,7 +364,7 @@ TEST(TimingWheelQueue, ConfiguredSizeStillFiresInOrder)
 
 TEST(TimingWheelQueue, OverflowEventsCascadeDown)
 {
-    EventQueue q(EventQueue::Impl::Wheel);
+    EventQueue q;
     q.configureWheel(64);
     int fired = 0;
     // Past the 64-cycle near window: must first land in an overflow
@@ -446,7 +380,7 @@ TEST(TimingWheelQueue, OverflowEventsCascadeDown)
 
 TEST(TimingWheelQueue, FarListBeyondLastOverflowLevel)
 {
-    EventQueue q(EventQueue::Impl::Wheel);
+    EventQueue q;
     q.configureWheel(64);
     // 64 near cycles + 3 levels x 8 bits = 2^30 max coverage; past
     // that the entry rides the unsorted far list.
@@ -463,7 +397,7 @@ TEST(TimingWheelQueue, FarListBeyondLastOverflowLevel)
 
 TEST(TimingWheelQueue, HorizonHistogramCountsByDelayBitWidth)
 {
-    EventQueue q(EventQueue::Impl::Wheel);
+    EventQueue q;
     q.enableHorizonHistogram(true);
     q.schedule(0, []() {});   // bit_width(0) = 0
     q.schedule(1, []() {});   // 1
@@ -480,12 +414,20 @@ TEST(TimingWheelQueue, HorizonHistogramCountsByDelayBitWidth)
     q.run();
 }
 
-// Differential: one script, both implementations, identical order -------
+// Differential: one script, wheel and reference heap, identical order ----
 
 /** Deterministic xorshift64* so the stress script is reproducible. */
 struct Rng
 {
     std::uint64_t s = 0x9e3779b97f4a7c15ull;
+
+    Rng() = default;
+    /** Distinct non-zero state per seed. */
+    explicit Rng(std::uint64_t seed)
+        : s(0x9e3779b97f4a7c15ull * (2 * seed + 1))
+    {
+    }
+
     std::uint64_t
     next()
     {
@@ -499,10 +441,6 @@ struct Rng
 
 TEST(QueueDifferential, WheelMatchesHeapOnRandomScript)
 {
-    EventQueue wheel(EventQueue::Impl::Wheel);
-    EventQueue heap(EventQueue::Impl::Heap);
-    std::vector<std::uint64_t> wheel_order, heap_order;
-
     // Delay mix mirroring the simulator: mostly short ring-scale hops,
     // some bus/memory round trips, rare watchdog-scale timeouts.
     const auto draw_delay = [](Rng &r) -> Cycle {
@@ -524,25 +462,21 @@ TEST(QueueDifferential, WheelMatchesHeapOnRandomScript)
         }
     };
 
-    Rng rng;
-    std::uint64_t next_id = 0;
-    for (int round = 0; round < 40; ++round) {
-        // Same script against both queues: a batch of schedules (some
-        // tagged), reschedules of this round's tags, then a partial
-        // drain. Both must observe identical state throughout.
-        const std::size_t batch = 4 + rng.pick(24);
-        std::vector<std::uint64_t> wheel_tags, heap_tags;
-        for (std::size_t i = 0; i < batch; ++i) {
-            const Cycle delay = draw_delay(rng);
-            const std::uint64_t id = next_id++;
-            if (rng.pick(6) == 0) {
-                wheel_tags.push_back(wheel.scheduleAtTagged(
-                    wheel.now() + delay,
-                    [&wheel_order, id]() { wheel_order.push_back(id); }));
-                heap_tags.push_back(heap.scheduleAtTagged(
-                    heap.now() + delay,
-                    [&heap_order, id]() { heap_order.push_back(id); }));
-            } else {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        EventQueue wheel;
+        ReferenceHeapQueue heap;
+        std::vector<std::uint64_t> wheel_order, heap_order;
+        Rng rng(seed);
+        std::uint64_t next_id = 0;
+        for (int round = 0; round < 40; ++round) {
+            // Same script against both queues: a batch of schedules,
+            // then a partial drain. Both must observe identical state
+            // throughout.
+            const std::size_t batch = 4 + rng.pick(24);
+            for (std::size_t i = 0; i < batch; ++i) {
+                const Cycle delay = draw_delay(rng);
+                const std::uint64_t id = next_id++;
                 wheel.schedule(delay, [&wheel_order, id]() {
                     wheel_order.push_back(id);
                 });
@@ -550,41 +484,54 @@ TEST(QueueDifferential, WheelMatchesHeapOnRandomScript)
                     heap_order.push_back(id);
                 });
             }
-        }
-        ASSERT_EQ(wheel_tags, heap_tags);
 
-        // Retarget half of this round's tagged entries (they are all
-        // still pending — nothing stepped since they were scheduled).
-        for (std::size_t i = 0; i < wheel_tags.size(); i += 2) {
-            const Cycle delay = draw_delay(rng);
-            const std::uint64_t id = next_id++;
-            wheel.reschedule(wheel_tags[i], wheel.now() + delay,
-                             [&wheel_order, id]() {
-                                 wheel_order.push_back(id);
-                             });
-            heap.reschedule(heap_tags[i], heap.now() + delay,
-                            [&heap_order, id]() {
-                                heap_order.push_back(id);
-                            });
+            const std::size_t steps = rng.pick(2 * batch);
+            for (std::size_t i = 0; i < steps; ++i) {
+                if (!wheel.step())
+                    break;
+                ASSERT_TRUE(heap.step());
+            }
+            ASSERT_EQ(wheel.now(), heap.now()) << "round " << round;
+            ASSERT_EQ(wheel.pending(), heap.pending()) << "round " << round;
+            ASSERT_EQ(wheel.minPendingTime(), heap.minPendingTime())
+                << "round " << round;
         }
 
-        const std::size_t steps = rng.pick(2 * batch);
-        for (std::size_t i = 0; i < steps; ++i) {
-            if (!wheel.step())
-                break;
-            ASSERT_TRUE(heap.step());
-        }
-        ASSERT_EQ(wheel.now(), heap.now()) << "round " << round;
-        ASSERT_EQ(wheel.pending(), heap.pending()) << "round " << round;
-        ASSERT_EQ(wheel.minPendingTime(), heap.minPendingTime())
-            << "round " << round;
+        wheel.run();
+        heap.run();
+        EXPECT_EQ(wheel.executed(), heap.executed());
+        EXPECT_EQ(wheel.now(), heap.now());
+        ASSERT_EQ(wheel_order.size(), heap_order.size());
+        EXPECT_EQ(wheel_order, heap_order);
     }
+}
 
-    wheel.run();
-    heap.run();
-    EXPECT_EQ(wheel.executed(), heap.executed());
-    EXPECT_EQ(wheel.now(), heap.now());
-    ASSERT_EQ(wheel_order.size(), heap_order.size());
+TEST(QueueDifferential, CascadedEntryAndLaterNearInsertShareACycle)
+{
+    // A (cycle 100) is scheduled past the 64-cycle near window and so
+    // lands in overflow level 1. B (cycle 70) fires after that bucket
+    // cascaded into the near wheel, and schedules C at cycle 100 from
+    // there: C is appended to the near bucket A now occupies, and must
+    // fire after A (lower seq) on both schedulers.
+    EventQueue wheel;
+    wheel.configureWheel(64);
+    ReferenceHeapQueue heap;
+    std::vector<char> wheel_order, heap_order;
+    const auto script = [](auto &q, std::vector<char> &order) {
+        q.scheduleAt(100, [&order]() { order.push_back('A'); });
+        q.scheduleAt(70, [&q, &order]() {
+            order.push_back('B');
+            q.scheduleAt(100, [&order]() { order.push_back('C'); });
+        });
+        q.run();
+    };
+    script(wheel, wheel_order);
+    script(heap, heap_order);
+    // A and B missed the near wheel; C, inserted after the cascade,
+    // did not.
+    EXPECT_EQ(wheel.wheel().overflowScheduled(), 2u);
+    EXPECT_GE(wheel.wheel().cascades(), 1u);
+    EXPECT_EQ(wheel_order, (std::vector<char>{'B', 'A', 'C'}));
     EXPECT_EQ(wheel_order, heap_order);
 }
 
@@ -594,7 +541,7 @@ TEST(TimingWheelQueue, ArenaStaysWithinPeakLiveEvents)
     // overflow levels and the far list -- and their cascades, while the
     // live set swells and shrinks. Entry storage must stay bounded by
     // the peak number of pending events, however many pass through.
-    EventQueue q(EventQueue::Impl::Wheel);
+    EventQueue q;
     q.configureWheel(64);
     const auto draw_delay = [](Rng &r) -> Cycle {
         const std::uint64_t k = r.pick(1000);

@@ -137,8 +137,6 @@ TEST(ProbeSignature, SupersetPredictorSignatureAnswersMatchHashedAnswers)
         const ProbeSignature sig =
             signatureFor(line, sig_pred, presence);
         ASSERT_EQ(sig.supplierFields, 3u);
-        ASSERT_EQ(sig_pred.wouldPredict(line, sig),
-                  hash_pred.wouldPredict(line));
         ASSERT_EQ(sig_pred.predict(line, sig), hash_pred.predict(line));
     }
     // Both took the counted-lookup path the same number of times...
@@ -182,8 +180,6 @@ TEST(ProbeSignature, PresencePredictorSignatureAnswersMatchHashedAnswers)
     for (int i = 0; i < 5000; ++i) {
         const Addr line = lineAt(rng.nextBelow(10000));
         const ProbeSignature sig = signatureFor(line, supplier, sig_pres);
-        ASSERT_EQ(sig_pres.wouldBePresent(line, sig),
-                  hash_pres.wouldBePresent(line));
         ASSERT_EQ(sig_pres.mayBePresent(line, sig),
                   hash_pres.mayBePresent(line));
     }

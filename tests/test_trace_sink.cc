@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -234,6 +236,36 @@ TEST(TraceReader, RejectsBadMagicAndTruncation)
                  static_cast<std::streamsize>(data.size() - 17));
     }
     EXPECT_THROW(loadTrace(path), std::runtime_error);
+    std::remove(path.c_str());
+}
+
+TEST(TraceReader, RejectsVersionOneFiles)
+{
+    // Version 2 renumbered the events after a removed v1 event, so a v1
+    // file must be refused rather than decoded with shifted meanings.
+    const std::string path = tempPath("v1");
+    TraceConfig cfg;
+    cfg.path = path;
+    {
+        TraceSink sink(cfg, 2, 2);
+        sink.record(TraceEvent::Hop, 1, 1, 0);
+    }
+    ASSERT_NO_THROW(loadTrace(path));
+    {
+        const std::uint32_t v1 = 1;
+        std::fstream fs(path, std::ios::binary | std::ios::in |
+                                  std::ios::out);
+        fs.seekp(offsetof(TraceFileHeader, version));
+        fs.write(reinterpret_cast<const char *>(&v1), sizeof(v1));
+    }
+    try {
+        loadTrace(path);
+        ADD_FAILURE() << "a version-1 trace was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported trace version 1"),
+                  std::string::npos)
+            << e.what();
+    }
     std::remove(path.c_str());
 }
 
