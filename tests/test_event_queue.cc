@@ -2,12 +2,13 @@
  * @file
  * Unit tests for the discrete-event kernel.
  *
- * Behavioural tests run against EventQueue; wheel-specific structure —
- * cascades, the far list, sizing, the horizon histogram, the entry
- * arena's storage bound — is covered separately, and a randomized
- * differential test drives EventQueue and the reference binary heap
- * (reference_heap_queue.hh) with one script and demands identical fire
- * order.
+ * Every behavioural test runs against both EventQueue (the timing
+ * wheel) and the reference binary heap (reference_heap_queue.hh), so
+ * the differential oracle is held to the same contract as the queue it
+ * checks; wheel-specific structure — cascades, the far list, sizing,
+ * the horizon histogram, the entry arena's storage bound — is covered
+ * separately, and a randomized differential test drives both with one
+ * script and demands identical fire order.
  */
 
 #include <algorithm>
@@ -15,11 +16,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "reference_heap_queue.hh"
+#include "sim/event_fn.hh"
 #include "sim/event_queue.hh"
 
 namespace flexsnoop
@@ -27,18 +30,86 @@ namespace flexsnoop
 namespace
 {
 
-TEST(EventQueue, StartsAtCycleZeroAndEmpty)
+enum class QueueImpl
 {
-    EventQueue q;
+    Wheel,
+    Heap,
+};
+
+/** The scheduling surface EventQueue and ReferenceHeapQueue share. */
+class AnyQueue
+{
+  public:
+    virtual ~AnyQueue() = default;
+    virtual Cycle now() const = 0;
+    virtual std::size_t pending() const = 0;
+    virtual std::uint64_t executed() const = 0;
+    virtual Cycle minPendingTime() const = 0;
+    virtual void schedule(Cycle delay, EventFn fn) = 0;
+    virtual void scheduleAt(Cycle when, EventFn fn) = 0;
+    virtual bool step() = 0;
+    virtual std::uint64_t run(Cycle limit = EventQueue::kNoEvent) = 0;
+    virtual void clear() = 0;
+};
+
+template <class Queue>
+class QueueAdaptor final : public AnyQueue
+{
+  public:
+    Cycle now() const override { return _q.now(); }
+    std::size_t pending() const override { return _q.pending(); }
+    std::uint64_t executed() const override { return _q.executed(); }
+    Cycle minPendingTime() const override { return _q.minPendingTime(); }
+    void
+    schedule(Cycle delay, EventFn fn) override
+    {
+        _q.schedule(delay, std::move(fn));
+    }
+    void
+    scheduleAt(Cycle when, EventFn fn) override
+    {
+        _q.scheduleAt(when, std::move(fn));
+    }
+    bool step() override { return _q.step(); }
+    std::uint64_t run(Cycle limit) override { return _q.run(limit); }
+    void clear() override { _q.clear(); }
+
+  private:
+    Queue _q;
+};
+
+std::unique_ptr<AnyQueue>
+makeQueue(QueueImpl impl)
+{
+    if (impl == QueueImpl::Wheel)
+        return std::make_unique<QueueAdaptor<EventQueue>>();
+    return std::make_unique<QueueAdaptor<ReferenceHeapQueue>>();
+}
+
+class EventQueueImpl : public ::testing::TestWithParam<QueueImpl>
+{
+  protected:
+    std::unique_ptr<AnyQueue> _queue = makeQueue(GetParam());
+    AnyQueue &q = *_queue;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    BothImpls, EventQueueImpl,
+    ::testing::Values(QueueImpl::Wheel, QueueImpl::Heap),
+    [](const ::testing::TestParamInfo<QueueImpl> &info) {
+        return info.param == QueueImpl::Wheel ? "Wheel" : "Heap";
+    });
+
+TEST_P(EventQueueImpl, StartsAtCycleZeroAndEmpty)
+{
     EXPECT_EQ(q.now(), 0u);
     EXPECT_EQ(q.pending(), 0u);
     EXPECT_EQ(q.executed(), 0u);
     EXPECT_EQ(q.minPendingTime(), EventQueue::kNoEvent);
 }
 
-TEST(EventQueue, ExecutesEventAtScheduledCycle)
+TEST_P(EventQueueImpl, ExecutesEventAtScheduledCycle)
 {
-    EventQueue q;
     Cycle fired_at = 0;
     q.schedule(42, [&]() { fired_at = q.now(); });
     EXPECT_EQ(q.minPendingTime(), 42u);
@@ -47,9 +118,8 @@ TEST(EventQueue, ExecutesEventAtScheduledCycle)
     EXPECT_EQ(q.now(), 42u);
 }
 
-TEST(EventQueue, ZeroDelayEventRunsAtCurrentCycle)
+TEST_P(EventQueueImpl, ZeroDelayEventRunsAtCurrentCycle)
 {
-    EventQueue q;
     bool fired = false;
     q.schedule(0, [&]() { fired = true; });
     q.run();
@@ -57,9 +127,8 @@ TEST(EventQueue, ZeroDelayEventRunsAtCurrentCycle)
     EXPECT_EQ(q.now(), 0u);
 }
 
-TEST(EventQueue, EventsFireInTimeOrder)
+TEST_P(EventQueueImpl, EventsFireInTimeOrder)
 {
-    EventQueue q;
     std::vector<int> order;
     q.schedule(30, [&]() { order.push_back(3); });
     q.schedule(10, [&]() { order.push_back(1); });
@@ -68,9 +137,8 @@ TEST(EventQueue, EventsFireInTimeOrder)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, SameCycleEventsFireFifo)
+TEST_P(EventQueueImpl, SameCycleEventsFireFifo)
 {
-    EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
         q.schedule(5, [&order, i]() { order.push_back(i); });
@@ -80,9 +148,8 @@ TEST(EventQueue, SameCycleEventsFireFifo)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueue, EventsMayScheduleMoreEvents)
+TEST_P(EventQueueImpl, EventsMayScheduleMoreEvents)
 {
-    EventQueue q;
     int count = 0;
     std::function<void()> chain = [&]() {
         ++count;
@@ -95,9 +162,8 @@ TEST(EventQueue, EventsMayScheduleMoreEvents)
     EXPECT_EQ(q.now(), 50u);
 }
 
-TEST(EventQueue, RunHonorsCycleLimit)
+TEST_P(EventQueueImpl, RunHonorsCycleLimit)
 {
-    EventQueue q;
     int fired = 0;
     q.schedule(10, [&]() { ++fired; });
     q.schedule(100, [&]() { ++fired; });
@@ -108,9 +174,8 @@ TEST(EventQueue, RunHonorsCycleLimit)
     EXPECT_EQ(fired, 2);
 }
 
-TEST(EventQueue, StepExecutesExactlyOneEvent)
+TEST_P(EventQueueImpl, StepExecutesExactlyOneEvent)
 {
-    EventQueue q;
     int fired = 0;
     q.schedule(1, [&]() { ++fired; });
     q.schedule(2, [&]() { ++fired; });
@@ -121,9 +186,8 @@ TEST(EventQueue, StepExecutesExactlyOneEvent)
     EXPECT_FALSE(q.step());
 }
 
-TEST(EventQueue, ClearDropsPendingEvents)
+TEST_P(EventQueueImpl, ClearDropsPendingEvents)
 {
-    EventQueue q;
     int fired = 0;
     q.schedule(1, [&]() { ++fired; });
     q.clear();
@@ -131,18 +195,16 @@ TEST(EventQueue, ClearDropsPendingEvents)
     EXPECT_EQ(fired, 0);
 }
 
-TEST(EventQueue, ExecutedCountsAllFiredEvents)
+TEST_P(EventQueueImpl, ExecutedCountsAllFiredEvents)
 {
-    EventQueue q;
     for (int i = 0; i < 17; ++i)
         q.schedule(i, []() {});
     q.run();
     EXPECT_EQ(q.executed(), 17u);
 }
 
-TEST(EventQueue, ScheduleAtAbsoluteCycle)
+TEST_P(EventQueueImpl, ScheduleAtAbsoluteCycle)
 {
-    EventQueue q;
     q.schedule(10, []() {});
     q.run();
     Cycle fired_at = 0;
@@ -151,9 +213,8 @@ TEST(EventQueue, ScheduleAtAbsoluteCycle)
     EXPECT_EQ(fired_at, 25u);
 }
 
-TEST(EventQueue, NestedZeroDelayPreservesFifoWithinCycle)
+TEST_P(EventQueueImpl, NestedZeroDelayPreservesFifoWithinCycle)
 {
-    EventQueue q;
     std::vector<int> order;
     q.schedule(5, [&]() {
         order.push_back(1);
@@ -164,9 +225,8 @@ TEST(EventQueue, NestedZeroDelayPreservesFifoWithinCycle)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, SameCycleFifoSurvivesHeavyInterleaving)
+TEST_P(EventQueueImpl, SameCycleFifoSurvivesHeavyInterleaving)
 {
-    EventQueue q;
     // Stress the tie-breaking: many events on a few cycles, scheduled
     // in a scattered order, must still fire grouped by cycle and FIFO
     // within each cycle.
@@ -189,9 +249,8 @@ TEST(EventQueue, SameCycleFifoSurvivesHeavyInterleaving)
     }
 }
 
-TEST(EventQueue, ClearThenReuseSchedulesFreshEvents)
+TEST_P(EventQueueImpl, ClearThenReuseSchedulesFreshEvents)
 {
-    EventQueue q;
     int dropped = 0, fired = 0;
     q.schedule(10, [&]() { ++dropped; });
     q.schedule(20, [&]() { ++dropped; });
@@ -211,9 +270,8 @@ TEST(EventQueue, ClearThenReuseSchedulesFreshEvents)
     EXPECT_EQ(q.now(), 7u);
 }
 
-TEST(EventQueue, LargeCaptureFallsBackToHeapAndRuns)
+TEST_P(EventQueueImpl, LargeCaptureFallsBackToHeapAndRuns)
 {
-    EventQueue q;
     // A capture bigger than EventFn's inline buffer must still execute
     // correctly (heap fallback path).
     std::array<std::uint64_t, 32> payload{};
@@ -230,9 +288,8 @@ TEST(EventQueue, LargeCaptureFallsBackToHeapAndRuns)
     EXPECT_EQ(sum, 32u * 33u / 2u);
 }
 
-TEST(EventQueue, MoveOnlyCallablesAreSupported)
+TEST_P(EventQueueImpl, MoveOnlyCallablesAreSupported)
 {
-    EventQueue q;
     // EventFn is move-only, so callables owning resources (unique_ptr)
     // can be scheduled directly — std::function could not hold these.
     auto owned = std::make_unique<int>(41);
@@ -242,11 +299,10 @@ TEST(EventQueue, MoveOnlyCallablesAreSupported)
     EXPECT_EQ(result, 42);
 }
 
-// Edge behaviour -------------------------------------------------------
+// Edge behaviour shared by both implementations --------------------------
 
-TEST(EventQueue, MinPendingTimeTracksTheFrontier)
+TEST_P(EventQueueImpl, MinPendingTimeTracksTheFrontier)
 {
-    EventQueue q;
     q.schedule(90, []() {});
     q.schedule(40, []() {});
     EXPECT_EQ(q.minPendingTime(), 40u);
@@ -260,9 +316,8 @@ TEST(EventQueue, MinPendingTimeTracksTheFrontier)
     EXPECT_EQ(q.minPendingTime(), EventQueue::kNoEvent);
 }
 
-TEST(EventQueue, LongIdleJumpThenZeroDelay)
+TEST_P(EventQueueImpl, LongIdleJumpThenZeroDelay)
 {
-    EventQueue q;
     // Drain far past the near window, then schedule at the new now:
     // the wheel must re-anchor, not wrap onto stale buckets.
     std::vector<Cycle> fired;
@@ -275,9 +330,8 @@ TEST(EventQueue, LongIdleJumpThenZeroDelay)
     EXPECT_EQ(fired, (std::vector<Cycle>{1'000'000, 1'000'000, 1'000'003}));
 }
 
-TEST(EventQueue, SameCycleFifoAcrossWheelWrap)
+TEST_P(EventQueueImpl, SameCycleFifoAcrossWheelWrap)
 {
-    EventQueue q;
     // Pairs of same-cycle events on cycles straddling several near-
     // window wraps (the wheel defaults to 256 single-cycle buckets):
     // FIFO within a cycle must hold no matter which wrap the bucket
@@ -300,9 +354,8 @@ TEST(EventQueue, SameCycleFifoAcrossWheelWrap)
         }
 }
 
-TEST(EventQueue, DelaysSpanningEveryWheelLevel)
+TEST_P(EventQueueImpl, DelaysSpanningEveryWheelLevel)
 {
-    EventQueue q;
     // One event per structural region of the wheel: current bucket,
     // near window, each overflow level, and the far list — scheduled
     // out of order, fired in order.
@@ -316,15 +369,14 @@ TEST(EventQueue, DelaysSpanningEveryWheelLevel)
     };
     std::vector<Cycle> fired;
     for (const Cycle d : delays)
-        q.schedule(d, [&fired, &q]() { fired.push_back(q.now()); });
+        q.schedule(d, [&fired, &q = q]() { fired.push_back(q.now()); });
     q.run();
     std::vector<Cycle> expect(delays.rbegin(), delays.rend());
     EXPECT_EQ(fired, expect);
 }
 
-TEST(EventQueue, RunWithNoEventLimitDrainsEverything)
+TEST_P(EventQueueImpl, RunWithNoEventLimitDrainsEverything)
 {
-    EventQueue q;
     int fired = 0;
     q.schedule(10, [&]() { ++fired; });
     q.schedule(1ull << 35, [&]() { ++fired; });
