@@ -319,246 +319,6 @@ reportRingEvents()
 }
 
 /**
- * Probe-path layout A/B: the cost of one ring traversal's predictor
- * probes under the old layout (per-field 32-bit counter arrays, every
- * node re-deriving the field indices from the address) versus the new
- * one (indices computed once into a ProbeSignature, every node
- * answering from its packed one-bit-per-entry query bitmap). 16 nodes,
- * each with a supplier "y" filter and a presence filter: the legacy
- * counters total ~420 KB while the bitmaps total ~15 KB, so the new
- * path keeps the whole probe working set L1-resident. Answers must be
- * identical — the record's results_identical field gates that exactly.
- */
-struct LegacyCountingBloom
-{
-    struct Field
-    {
-        unsigned shift = 0;
-        std::uint64_t mask = 0;
-        std::vector<std::uint32_t> counters;
-    };
-    std::vector<Field> fields;
-
-    explicit LegacyCountingBloom(const std::vector<unsigned> &field_bits)
-    {
-        unsigned shift = 0;
-        for (unsigned bits : field_bits) {
-            Field f;
-            f.shift = shift;
-            f.mask = (1ull << bits) - 1;
-            f.counters.assign(std::size_t{1} << bits, 0);
-            fields.push_back(std::move(f));
-            shift += bits;
-        }
-    }
-
-    void
-    insert(Addr line)
-    {
-        const std::uint64_t idx = lineIndex(line);
-        for (Field &f : fields)
-            ++f.counters[(idx >> f.shift) & f.mask];
-    }
-
-    // The old query was defined out of line in bloom_filter.cc and the
-    // build has no LTO, so every hop paid a real call; keep that true
-    // here instead of letting the optimizer flatten the reimplementation
-    // into the sweep loop.
-    __attribute__((noinline)) bool
-    mayContain(Addr line) const
-    {
-        const std::uint64_t idx = lineIndex(line);
-        for (const Field &f : fields) {
-            if (f.counters[(idx >> f.shift) & f.mask] == 0)
-                return false;
-        }
-        return true;
-    }
-};
-
-struct ProbePathFixture
-{
-    static constexpr std::size_t kNodes = 16;
-
-    struct Node
-    {
-        CountingBloomFilter supplier{std::vector<unsigned>{10, 4, 7}};
-        CountingBloomFilter presence{std::vector<unsigned>{12, 8, 10}};
-        LegacyCountingBloom legacySupplier{{10, 4, 7}};
-        LegacyCountingBloom legacyPresence{{12, 8, 10}};
-    };
-
-    std::vector<Node> nodes{kNodes};
-    std::vector<Addr> probes;
-
-    ProbePathFixture()
-    {
-        Rng rng(20060613); // both layouts see identical contents
-        for (Node &node : nodes) {
-            for (int i = 0; i < 2000; ++i) {
-                const Addr line = rng.nextBelow(1 << 20) * kLineSizeBytes;
-                node.supplier.insert(line);
-                node.legacySupplier.insert(line);
-            }
-            for (int i = 0; i < 6000; ++i) {
-                const Addr line = rng.nextBelow(1 << 20) * kLineSizeBytes;
-                node.presence.insert(line);
-                node.legacyPresence.insert(line);
-            }
-        }
-        const std::size_t n =
-            static_cast<std::size_t>(20000 * bench::benchScale());
-        probes.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            probes.push_back(rng.nextBelow(1 << 20) * kLineSizeBytes);
-    }
-
-    static ProbePathFixture &
-    instance()
-    {
-        static ProbePathFixture fixture;
-        return fixture;
-    }
-
-    /** In-flight transaction window: both sweeps process probes the way
-     *  the event loop does — a batch of concurrent transactions, each
-     *  visiting its next node before any of them visits the one after.
-     *  Between a transaction's consecutive hops the other in-flight
-     *  probes touch ~3k random counter lines (~190 KB), evicting the
-     *  legacy per-line counters from L1; a tight all-hops-per-line loop
-     *  would let them ride L1 and flatter the old layout. The issued
-     *  signatures (32 B x window) stay hot, exactly like the in-flight
-     *  ring messages that carry them. */
-    static constexpr std::size_t kInFlight = 512;
-
-    /** Per-transaction signatures, filled once at issue time — the
-     *  bench equivalent of the ProbeSignature riding in SnoopMessage. */
-    struct IssuedSignature
-    {
-        std::uint32_t supplier[ProbeSignature::kMaxFields];
-        std::uint32_t presence[ProbeSignature::kMaxFields];
-    };
-    mutable std::array<IssuedSignature, kInFlight> issued{};
-
-    std::uint64_t
-    sweepHashed() const
-    {
-        std::uint64_t acc = 0;
-        for (std::size_t base = 0; base < probes.size();
-             base += kInFlight) {
-            const std::size_t batch =
-                std::min(kInFlight, probes.size() - base);
-            for (std::size_t hop = 0; hop < kNodes; ++hop) {
-                for (std::size_t i = 0; i < batch; ++i) {
-                    // Old layout: this hop re-derives the field indices
-                    // from the address and reads the 32-bit counters.
-                    const Node &node = nodes[(base + i + hop) % kNodes];
-                    const Addr line = probes[base + i];
-                    acc = acc * 3 + node.legacySupplier.mayContain(line);
-                    acc = acc * 3 + node.legacyPresence.mayContain(line);
-                }
-            }
-        }
-        return acc;
-    }
-
-    /** The same visit order, new layout: indices filled once per
-     *  transaction, every node answers from its query bitmap. */
-    std::uint64_t
-    sweepSignature() const
-    {
-        std::uint64_t acc = 0;
-        for (std::size_t base = 0; base < probes.size();
-             base += kInFlight) {
-            const std::size_t batch =
-                std::min(kInFlight, probes.size() - base);
-            for (std::size_t i = 0; i < batch; ++i) {
-                const Node &issuer = nodes[(base + i) % kNodes];
-                const Addr line = probes[base + i];
-                issuer.supplier.fillSignature(line, issued[i].supplier);
-                issuer.presence.fillSignature(line, issued[i].presence);
-            }
-            for (std::size_t hop = 0; hop < kNodes; ++hop) {
-                for (std::size_t i = 0; i < batch; ++i) {
-                    const Node &node = nodes[(base + i + hop) % kNodes];
-                    acc = acc * 3 +
-                          node.supplier.mayContain(issued[i].supplier);
-                    acc = acc * 3 +
-                          node.presence.mayContain(issued[i].presence);
-                }
-            }
-        }
-        return acc;
-    }
-};
-
-void
-BM_ProbePathHashed(benchmark::State &state)
-{
-    const ProbePathFixture &fx = ProbePathFixture::instance();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(fx.sweepHashed());
-    state.SetItemsProcessed(state.iterations() * fx.probes.size() *
-                            ProbePathFixture::kNodes);
-}
-BENCHMARK(BM_ProbePathHashed);
-
-void
-BM_ProbePathSignature(benchmark::State &state)
-{
-    const ProbePathFixture &fx = ProbePathFixture::instance();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(fx.sweepSignature());
-    state.SetItemsProcessed(state.iterations() * fx.probes.size() *
-                            ProbePathFixture::kNodes);
-}
-BENCHMARK(BM_ProbePathSignature);
-
-void
-reportProbePath()
-{
-    const ProbePathFixture &fx = ProbePathFixture::instance();
-    const double hops = static_cast<double>(
-        fx.probes.size() * ProbePathFixture::kNodes);
-
-    // Warm both paths, then time each over several sweeps.
-    std::uint64_t hashed_sum = fx.sweepHashed();
-    std::uint64_t sig_sum = fx.sweepSignature();
-    const bool identical = hashed_sum == sig_sum;
-
-    constexpr int kReps = 5;
-    auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kReps; ++i)
-        benchmark::DoNotOptimize(hashed_sum += fx.sweepHashed());
-    auto stop = std::chrono::steady_clock::now();
-    const double hashed_ns =
-        std::chrono::duration<double, std::nano>(stop - start).count() /
-        (kReps * hops);
-
-    start = std::chrono::steady_clock::now();
-    for (int i = 0; i < kReps; ++i)
-        benchmark::DoNotOptimize(sig_sum += fx.sweepSignature());
-    stop = std::chrono::steady_clock::now();
-    const double sig_ns =
-        std::chrono::duration<double, std::nano>(stop - start).count() /
-        (kReps * hops);
-
-    const double speedup = hashed_ns / sig_ns;
-    std::cout << "\nProbe path (16 nodes, supplier+presence per hop):\n"
-              << "  ns/hop-probe  hashed " << hashed_ns << "  signature "
-              << sig_ns << "  (" << speedup << "x faster)\n"
-              << "  answers identical: " << (identical ? "yes" : "NO")
-              << "\n";
-
-    bench::writeBenchRecord(
-        "probe_path",
-        {{"ns_per_hop_probe_hashed", hashed_ns},
-         {"ns_per_hop_probe_signature", sig_ns},
-         {"speedup_probe_signature", speedup},
-         {"results_identical", identical ? 1.0 : 0.0}});
-}
-
-/**
  * End-to-end tracing overhead: the same mini workload untraced vs
  * traced (spill mode, the expensive one), whole-run wall clock. This is
  * the number docs/TRACING.md quotes, and the end-to-end counterpart of
@@ -709,7 +469,6 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     flexsnoop::reportRingEvents();
-    flexsnoop::reportProbePath();
     flexsnoop::reportTracingOverhead();
     flexsnoop::reportMetricsOverhead();
     return 0;

@@ -252,15 +252,12 @@ CmpNode::fillFromMemory(std::size_t reader, Addr line)
 }
 
 bool
-CmpNode::invalidateAll(Addr line, std::size_t skip_core, std::size_t l2_set)
+CmpNode::invalidateAll(Addr line, std::size_t skip_core)
 {
     line = lineAddr(line);
-    // All local L2s share geometry: resolve the set once (or take the
-    // one the ring message's probe signature carries) instead of
+    // All local L2s share geometry: resolve the set once instead of
     // re-deriving it per core and per state/invalidate call.
-    const std::size_t set =
-        l2_set != SIZE_MAX ? l2_set : _l2s[0]->setIndex(line);
-    assert(set == _l2s[0]->setIndex(line));
+    const std::size_t set = _l2s[0]->setIndex(line);
     bool had_supplier = false;
     for (std::size_t c = 0; c < _l2s.size(); ++c) {
         if (c == skip_core)

@@ -130,14 +130,10 @@ class CmpNode
      * Invalidates every local copy of @p line.
      *
      * @param skip_core local L2 to preserve (the writer), SIZE_MAX = none
-     * @param l2_set    the line's L2 set index when the caller carries it
-     *                  (ring messages' probe signatures); SIZE_MAX =
-     *                  derive from the address
      * @return true if an invalidated copy was in a supplier state (its
      *         data travels to the writer, so no writeback is needed)
      */
-    bool invalidateAll(Addr line, std::size_t skip_core = SIZE_MAX,
-                       std::size_t l2_set = SIZE_MAX);
+    bool invalidateAll(Addr line, std::size_t skip_core = SIZE_MAX);
 
     /** Fill @p line as Dirty into @p writer's L2 (write completion). */
     void fillForWrite(std::size_t writer, Addr line);

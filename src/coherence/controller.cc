@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "sim/fault_injector.hh"
 #include "sim/log.hh"
@@ -70,10 +70,6 @@ CoherenceController::CoherenceController(
             onRingMessage(n, msg);
         });
     }
-    // Escape hatch for equivalence testing: with signatures suppressed
-    // every consumer re-hashes the address, and results must stay
-    // bit-identical (test_probe_signature relies on this).
-    _probeSignatures = !std::getenv("FLEXSNOOP_NO_PROBE_SIG");
 }
 
 
@@ -488,8 +484,6 @@ CoherenceController::issueRingMessage(Transaction &txn)
     msg.txn = txn.id;
     msg.line = txn.line;
     msg.requester = txn.requester;
-    if (_probeSignatures)
-        msg.sig = computeSignature(txn.requester, txn.line);
 
     FS_LOG(Debug, _queue.now(), "ctrl",
            "issue " << (txn.kind == SnoopKind::Read ? "read" : "write")
@@ -503,22 +497,6 @@ CoherenceController::issueRingMessage(Transaction &txn)
                        static_cast<std::uint16_t>(txn.requester));
 
     forwardMessage(txn.requester, msg);
-}
-
-ProbeSignature
-CoherenceController::computeSignature(NodeId requester, Addr line) const
-{
-    ProbeSignature sig;
-    sig.home = _memory.homeNode(line);
-    sig.l2Set = static_cast<std::uint32_t>(_nodes[requester]->l2(0).setIndex(line));
-    if (const SupplierPredictor *pred = _nodes[requester]->predictor())
-        sig.supplierFields =
-            static_cast<std::uint8_t>(pred->fillSignature(line, sig.supplier));
-    if (const PresencePredictor *presence =
-            _nodes[requester]->presencePredictor())
-        sig.presenceFields = static_cast<std::uint8_t>(
-            presence->fillSignature(line, sig.presence));
-    return sig;
 }
 
 // --------------------------------------------------------------------------
@@ -574,14 +552,10 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
     }
 
     // Home-node prefetch heuristic: a still-unanswered read passing its
-    // home node may trigger a DRAM prefetch (paper §2.2). The signature
-    // carries the home mapping so the hop does no division/modulo.
+    // home node may trigger a DRAM prefetch (paper §2.2).
     if (msg.kind == SnoopKind::Read && !msg.found && !msg.squashed &&
         msg.type != MsgType::SnoopReply &&
-        (msg.sig.valid() ? msg.sig.home
-                         : _memory.homeNode(msg.line)) == node) {
-        assert(!msg.sig.valid() ||
-               msg.sig.home == _memory.homeNode(msg.line));
+        _memory.homeNode(msg.line) == node) {
         _memory.notifySnoopAtHome(msg.line, _queue.now());
     }
 
@@ -641,7 +615,7 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
         if (PresencePredictor *presence =
                 _nodes[node]->presencePredictor()) {
             decision_latency = presence->accessLatency();
-            bool absent = !presence->mayBePresent(msg.line, msg.sig);
+            bool absent = !presence->mayBePresent(msg.line);
             if (_faults && _faults->flipPrediction()) {
                 absent = !absent;
                 if (_trace)
@@ -669,7 +643,7 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
     } else {
         SupplierPredictor *pred = _nodes[node]->predictor();
         assert(pred && "policy requires a predictor");
-        bool predicted = pred->predict(msg.line, msg.sig);
+        bool predicted = pred->predict(msg.line);
         if (_faults && _faults->flipPrediction()) {
             predicted = !predicted;
             if (_trace)
@@ -721,12 +695,9 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
             p.waitingForReply = true;
             p.requestVisits = out.visits;
         }
-        SnoopMessage *fwd = _msgPool.acquire();
-        *fwd = out;
-        _queue.schedule(decision_latency, [this, node, fwd]() {
-            forwardMessage(node, *fwd);
-            _msgPool.release(fwd);
-        });
+        auto forward = [this, node, out]() { forwardMessage(node, out); };
+        static_assert(EventFn::fitsInline<decltype(forward)>());
+        _queue.schedule(decision_latency, std::move(forward));
         return;
     }
 
@@ -742,22 +713,17 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
     }
 
     if (prim == Primitive::ForwardThenSnoop) {
-        SnoopMessage *req = _msgPool.acquire();
-        *req = msg;
-        req->type = MsgType::SnoopRequest; // split: the request races ahead
-        req->visits = msg.visits + 1; // our reply will carry the same count
-        _queue.schedule(decision_latency, [this, node, req]() {
-            forwardMessage(node, *req);
-            _msgPool.release(req);
-        });
+        SnoopMessage req = msg;
+        req.type = MsgType::SnoopRequest; // split: the request races ahead
+        req.visits = msg.visits + 1; // our reply will carry the same count
+        auto split = [this, node, req]() { forwardMessage(node, req); };
+        static_assert(EventFn::fitsInline<decltype(split)>());
+        _queue.schedule(decision_latency, std::move(split));
     }
-    SnoopMessage *captured = _msgPool.acquire();
-    *captured = msg;
+    auto snoop_done = [this, node, msg]() { snoopComplete(node, msg); };
+    static_assert(EventFn::fitsInline<decltype(snoop_done)>());
     _queue.schedule(decision_latency + _params.cmpSnoopTime,
-                    [this, node, captured]() {
-                        snoopComplete(node, *captured);
-                        _msgPool.release(captured);
-                    });
+                    std::move(snoop_done));
 }
 
 // --------------------------------------------------------------------------
@@ -975,12 +941,9 @@ CoherenceController::sendSkipAccounted(NodeId node, const SnoopMessage &msg,
         _ring.sendSkip(node, msg);
         return;
     }
-    SnoopMessage *fwd = _msgPool.acquire();
-    *fwd = msg;
-    _queue.schedule(decision_latency, [this, node, fwd]() {
-        _ring.sendSkip(node, *fwd);
-        _msgPool.release(fwd);
-    });
+    auto skip = [this, node, msg]() { _ring.sendSkip(node, msg); };
+    static_assert(EventFn::fitsInline<decltype(skip)>());
+    _queue.schedule(decision_latency, std::move(skip));
 }
 
 bool
@@ -1104,9 +1067,7 @@ CoherenceController::ringSnoopWrite(NodeId node, const SnoopMessage &msg)
            "write snoop txn " << msg.txn << " line 0x" << std::hex
                               << msg.line << std::dec << " at node "
                               << node);
-    return _nodes[node]->invalidateAll(
-        msg.line, SIZE_MAX,
-        msg.sig.valid() ? msg.sig.l2Set : SIZE_MAX);
+    return _nodes[node]->invalidateAll(msg.line);
 }
 
 void

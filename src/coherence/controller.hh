@@ -216,14 +216,6 @@ class CoherenceController : public RequestPort
     void startRingTransaction(CoreId core, Addr line, SnoopKind kind,
                               Cycle extra_delay, unsigned retries);
     void issueRingMessage(Transaction &txn);
-
-    /**
-     * Hash once, probe everywhere: resolve the line's predictor filter
-     * indices, L2 set and home node at ring-issue time. The signature
-     * rides in the SnoopMessage so every hop's probe is pure indexed
-     * loads (all nodes share filter and cache geometry).
-     */
-    ProbeSignature computeSignature(NodeId requester, Addr line) const;
     void finishAndErase(TransactionId id);
     void deliverReadData(Transaction &txn, bool from_memory);
     void completeWrite(Transaction &txn);
@@ -407,11 +399,6 @@ class CoherenceController : public RequestPort
      */
     SlotPool<Transaction> _txnPool;
     SlotPool<NodePending> _pendingPool;
-    /** Gateway decision/snoop events park their message here and
-     *  capture a slot pointer: a 96-byte SnoopMessage captured by
-     *  value overflows EventFn's inline buffer (heap allocation on
-     *  every hop). */
-    SlotPool<SnoopMessage> _msgPool;
     SlotPool<GateLine> _gatePool;
     FlatMap<Transaction *> _transactions;
     /** per node: line -> outstanding local txn (merging + collisions). */
@@ -449,10 +436,6 @@ class CoherenceController : public RequestPort
      *  existed when its request passed (later same-line rounds descend
      *  and hit the flat collision/gate rules instead). */
     FlatMap<std::uint32_t> _liveLineRounds;
-
-    /** Hash-once probe signatures on ring messages; disabled only by
-     *  FLEXSNOOP_NO_PROBE_SIG for fallback-equivalence testing. */
-    bool _probeSignatures = true;
 
     /** Event tracing (docs/TRACING.md); null (zero-cost) by default. */
     TraceSink *_trace = nullptr;

@@ -61,7 +61,8 @@ class L2Cache
     /** Protocol state of @p line (Invalid when not cached). */
     LineState state(Addr line) const;
 
-    /** state() with the set index already known (probe signatures). */
+    /** state() with the set index already known (CmpNode resolves it
+     *  once for all of its L2s). */
     LineState state(Addr line, std::size_t set) const;
 
     /** Set index of @p line; uniform across all L2s of the machine. */

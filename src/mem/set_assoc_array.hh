@@ -155,9 +155,9 @@ class SetAssocArray
     bool contains(Addr line) const { return find(line) != kNoWay; }
 
     /**
-     * find() with the set index already known — the snoop hot path
-     * carries it in the message's probe signature (geometry is uniform
-     * across all L2s of the machine, so one index serves every node).
+     * find() with the set index already known — a CMP write snoop
+     * derives it once and probes every local L2 with it (geometry is
+     * uniform across all L2s of the machine).
      * @p line must already be a line address.
      */
     std::size_t

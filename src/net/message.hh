@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "net/probe_signature.hh"
 #include "sim/types.hh"
 
 namespace flexsnoop
@@ -51,7 +50,10 @@ toString(MsgType t)
 /**
  * One message on a snoop ring.
  *
- * Value type: copied into the event queue on every hop.
+ * Value type: ring and controller events capture it by value on every
+ * hop. Keep it small enough that a `[this, NodeId, SnoopMessage]`
+ * lambda fits EventFn's inline buffer; each capture site
+ * static_asserts this.
  */
 struct SnoopMessage
 {
@@ -81,15 +83,6 @@ struct SnoopMessage
      * loss-free ring every conclusion is trivially complete.
      */
     std::uint32_t visits = 0;
-
-    /**
-     * Hash-once probe signature: the line's predictor filter indices,
-     * L2 set and home node, computed at ring-issue time so every hop
-     * probes with pure indexed loads. Invalid (default) on messages
-     * crafted outside issueRingMessage; consumers then fall back to
-     * deriving the values from the address.
-     */
-    ProbeSignature sig;
 };
 
 } // namespace flexsnoop

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <memory>
+#include <utility>
 
 #include "sim/fault_injector.hh"
 #include "sim/log.hh"
@@ -112,12 +113,9 @@ Ring::finishSend(NodeId from, NodeId to, Cycle now, Cycle start,
                                static_cast<std::uint16_t>(msg.type),
                                hopFlags(msg, global_leg));
             }
-            SnoopMessage *dup = _inFlight.acquire();
-            *dup = msg;
-            _queue.scheduleAt(start2 + latency, [this, to, dup]() {
-                _handlers[to](*dup);
-                _inFlight.release(dup);
-            });
+            auto deliver_dup = [this, to, msg]() { _handlers[to](msg); };
+            static_assert(EventFn::fitsInline<decltype(deliver_dup)>());
+            _queue.scheduleAt(start2 + latency, std::move(deliver_dup));
             break;
           }
           case FaultInjector::LinkAction::Delay:
@@ -142,15 +140,15 @@ Ring::finishSend(NodeId from, NodeId to, Cycle now, Cycle start,
                        static_cast<std::uint16_t>(msg.type),
                        hopFlags(msg, global_leg));
 
-    SnoopMessage *slot = _inFlight.acquire();
-    *slot = msg;
-    _queue.scheduleAt(arrive, [this, to, slot]() {
+    // The event owns its copy of the message: the wheel moves the entry
+    // out before running it, so the handler's reference stays valid
+    // even when it schedules more events.
+    auto deliver = [this, to, msg]() {
         assert(_handlers[to] && "message arrived at node with no handler");
-        // Deliver from the slot, then recycle it. A handler that sends
-        // the message onward copies it into a fresh slot first.
-        _handlers[to](*slot);
-        _inFlight.release(slot);
-    });
+        _handlers[to](msg);
+    };
+    static_assert(EventFn::fitsInline<decltype(deliver)>());
+    _queue.scheduleAt(arrive, std::move(deliver));
 }
 
 void

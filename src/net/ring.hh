@@ -19,7 +19,6 @@
 
 #include "net/message.hh"
 #include "sim/event_queue.hh"
-#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -47,6 +46,9 @@ struct RingParams
 class Ring
 {
   public:
+    /** Arrival handler. The message is owned by the arrival event and
+     *  stays valid for the whole call; a handler that keeps it past
+     *  the call copies it. */
     using Handler = std::function<void(const SnoopMessage &)>;
 
     Ring(EventQueue &queue, std::size_t num_nodes, const RingParams &params,
@@ -166,11 +168,6 @@ class Ring
     /** Per-block global-link occupancy (hier topology; empty in flat). */
     std::vector<Cycle> _globalFree;
     const Topology *_topo = nullptr; ///< hierarchy geometry; null = flat
-    /** In-flight messages parked between send and arrival. Arrival
-     *  events capture a stable slot pointer instead of the message by
-     *  value: with the ProbeSignature aboard, a by-value capture would
-     *  overflow EventFn's inline buffer and heap-allocate every hop. */
-    SlotPool<SnoopMessage> _inFlight;
     FaultInjector *_faults = nullptr; ///< unreliable-ring mode hook
     TraceSink *_trace = nullptr;      ///< per-hop tracing hook
     StatGroup _stats;

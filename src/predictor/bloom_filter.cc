@@ -36,17 +36,17 @@ CountingBloomFilter::CountingBloomFilter(std::vector<unsigned> field_bits)
 void
 CountingBloomFilter::insert(Addr line)
 {
-    std::uint32_t sig[kMaxFields];
-    fillSignature(line, sig);
+    std::uint32_t entry[kMaxFields];
+    fieldEntries(line, entry);
     for (unsigned f = 0; f < _numFields; ++f) {
         const FieldGeom &g = _geom[f];
         std::uint16_t &c =
-            _counters[g.counterBase + (sig[f] - g.entryBase)];
+            _counters[g.counterBase + (entry[f] - g.entryBase)];
         // A saturated counter is pinned: its true count is unknowable,
         // so it stays at the ceiling (and its zero bit stays set).
         if (c != kCounterMax && ++c == 1)
-            setBit(sig[f]);
-        assert(bitAt(sig[f]) == (c != 0));
+            setBit(entry[f]);
+        assert(bitAt(entry[f]) == (c != 0));
     }
     ++_population;
 }
@@ -54,12 +54,12 @@ CountingBloomFilter::insert(Addr line)
 void
 CountingBloomFilter::remove(Addr line)
 {
-    std::uint32_t sig[kMaxFields];
-    fillSignature(line, sig);
+    std::uint32_t entry[kMaxFields];
+    fieldEntries(line, entry);
     for (unsigned f = 0; f < _numFields; ++f) {
         const FieldGeom &g = _geom[f];
         std::uint16_t &c =
-            _counters[g.counterBase + (sig[f] - g.entryBase)];
+            _counters[g.counterBase + (entry[f] - g.entryBase)];
         assert(c > 0 && "bloom counter underflow: unbalanced remove");
         // Release builds clamp instead of wrapping to 0xFFFF (which
         // would silently poison the whole entry); saturated counters
@@ -67,8 +67,8 @@ CountingBloomFilter::remove(Addr line)
         if (c == 0 || c == kCounterMax)
             continue;
         if (--c == 0)
-            clearBit(sig[f]);
-        assert(bitAt(sig[f]) == (c != 0));
+            clearBit(entry[f]);
+        assert(bitAt(entry[f]) == (c != 0));
     }
     assert(_population > 0);
     if (_population)

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/probe_signature.hh"
 #include "sim/types.hh"
 
 namespace flexsnoop
@@ -41,8 +40,8 @@ namespace flexsnoop
 class CountingBloomFilter
 {
   public:
-    /** Most fields a filter supports (= signature capacity). */
-    static constexpr unsigned kMaxFields = ProbeSignature::kMaxFields;
+    /** Most fields a filter supports (paper configs use 3). */
+    static constexpr unsigned kMaxFields = 4;
     /** Sticky saturation ceiling of one 16-bit counter. */
     static constexpr std::uint16_t kCounterMax = 0xFFFF;
 
@@ -64,63 +63,22 @@ class CountingBloomFilter
      */
     void remove(Addr line);
 
-    /** True when the line *may* be present (all counters non-zero). */
+    /**
+     * True when the line *may* be present (all counters non-zero).
+     * Reads only the packed zero bitmap, never the counters. Branchless
+     * on purpose: ANDing the field bits costs at most two extra L1
+     * loads, while an early-exit loop costs a data-dependent mispredict
+     * on nearly every probe.
+     */
     bool
     mayContain(Addr line) const
     {
-        std::uint32_t sig[kMaxFields];
-        fillSignature(line, sig);
-        return mayContain(sig);
-    }
-
-    /**
-     * Precompute the line's global bitmap-entry indices (one per
-     * field). @p out must hold kMaxFields slots. @return the field
-     * count, for ProbeSignature bookkeeping. All filters built with the
-     * same field widths share geometry, so a signature filled here is
-     * valid against any of them.
-     */
-    unsigned
-    fillSignature(Addr line, std::uint32_t *out) const
-    {
-        const std::uint64_t idx = lineIndex(line);
-        for (unsigned f = 0; f < _numFields; ++f) {
-            const FieldGeom &g = _geom[f];
-            out[f] = g.entryBase +
-                     static_cast<std::uint32_t>((idx >> g.shift) & g.mask);
-        }
-        return _numFields;
-    }
-
-    /**
-     * Query with precomputed indices: pure indexed loads into the
-     * packed zero bitmap — the per-hop hot path. Never touches the
-     * counters. Branchless on purpose: ANDing the field bits costs at
-     * most two extra L1 loads, while an early-exit loop costs a
-     * data-dependent mispredict on nearly every probe.
-     */
-    bool
-    mayContain(const std::uint32_t *sig) const
-    {
+        std::uint32_t entry[kMaxFields];
+        fieldEntries(line, entry);
         std::uint64_t hit = 1;
-        for (unsigned f = 0; f < _numFields; ++f) {
-            const std::uint32_t e = sig[f];
-            hit &= _bitmap[e >> 6] >> (e & 63);
-        }
+        for (unsigned f = 0; f < _numFields; ++f)
+            hit &= _bitmap[entry[f] >> 6] >> (entry[f] & 63);
         return hit & 1;
-    }
-
-    /** True when @p sig is exactly fillSignature(line) (Debug checks). */
-    bool
-    signatureMatches(Addr line, const std::uint32_t *sig) const
-    {
-        std::uint32_t fresh[kMaxFields];
-        fillSignature(line, fresh);
-        for (unsigned f = 0; f < _numFields; ++f) {
-            if (fresh[f] != sig[f])
-                return false;
-        }
-        return true;
     }
 
     /** Number of elements currently inserted. */
@@ -155,6 +113,19 @@ class CountingBloomFilter
         std::uint32_t entryBase = 0;   ///< bit offset into _bitmap
         std::uint32_t counterBase = 0; ///< offset into _counters
     };
+
+    /** The line's global bitmap-entry index in each field; @p out
+     *  holds kMaxFields slots. */
+    void
+    fieldEntries(Addr line, std::uint32_t *out) const
+    {
+        const std::uint64_t idx = lineIndex(line);
+        for (unsigned f = 0; f < _numFields; ++f) {
+            const FieldGeom &g = _geom[f];
+            out[f] = g.entryBase +
+                     static_cast<std::uint32_t>((idx >> g.shift) & g.mask);
+        }
+    }
 
     bool
     bitAt(std::uint32_t entry) const

@@ -14,21 +14,7 @@ bool
 PresencePredictor::mayBePresent(Addr line)
 {
     _lookupsStat.inc();
-    _probeHashed.inc();
     const bool maybe = _filter.mayContain(lineAddr(line));
-    if (!maybe)
-        _filteredStat.inc();
-    return maybe;
-}
-
-bool
-PresencePredictor::mayBePresent(Addr line, const ProbeSignature &sig)
-{
-    if (!sigUsable(line, sig))
-        return mayBePresent(line);
-    _lookupsStat.inc();
-    _probeSignature.inc();
-    const bool maybe = _filter.mayContain(sig.presence);
     if (!maybe)
         _filteredStat.inc();
     return maybe;

@@ -22,7 +22,6 @@ bool
 SupersetPredictor::predict(Addr line)
 {
     _lookups.inc();
-    _probeHashed.inc();
     line = lineAddr(line);
     if (!_filter.mayContain(line))
         return false;
@@ -31,34 +30,6 @@ SupersetPredictor::predict(Addr line)
         return false;
     }
     return true;
-}
-
-bool
-SupersetPredictor::predict(Addr line, const ProbeSignature &sig)
-{
-    line = lineAddr(line);
-    if (!sigUsable(line, sig)) {
-        _lookups.inc();
-        _probeHashed.inc();
-        if (!_filter.mayContain(line))
-            return false;
-    } else {
-        _lookups.inc();
-        _probeSignature.inc();
-        if (!_filter.mayContain(sig.supplier))
-            return false;
-    }
-    if (_exclude && _exclude->contains(line)) {
-        _excludeHits.inc();
-        return false;
-    }
-    return true;
-}
-
-unsigned
-SupersetPredictor::fillSignature(Addr line, std::uint32_t *out) const
-{
-    return _filter.fillSignature(lineAddr(line), out);
 }
 
 void

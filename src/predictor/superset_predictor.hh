@@ -12,7 +12,6 @@
 #ifndef FLEXSNOOP_PREDICTOR_SUPERSET_PREDICTOR_HH
 #define FLEXSNOOP_PREDICTOR_SUPERSET_PREDICTOR_HH
 
-#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -39,11 +38,9 @@ class SupersetPredictor : public SupplierPredictor
                       unsigned exclude_entry_bits, Cycle latency);
 
     bool predict(Addr line) override;
-    bool predict(Addr line, const ProbeSignature &sig) override;
     void supplierGained(Addr line) override;
     void supplierLost(Addr line) override;
     void falsePositive(Addr line) override;
-    unsigned fillSignature(Addr line, std::uint32_t *out) const override;
 
     Cycle accessLatency() const override { return _latency; }
     bool mayFalsePositive() const override { return true; }
@@ -54,17 +51,6 @@ class SupersetPredictor : public SupplierPredictor
     bool hasExcludeCache() const { return _exclude != nullptr; }
 
   private:
-    /** True when @p sig carries usable filter indices for @p line. */
-    bool
-    sigUsable(Addr line, const ProbeSignature &sig) const
-    {
-        if (sig.supplierFields != _filter.numFields())
-            return false;
-        assert(_filter.signatureMatches(line, sig.supplier));
-        (void)line;
-        return true;
-    }
-
     CountingBloomFilter _filter;
     std::unique_ptr<ExcludeCache> _exclude;
     Cycle _latency;

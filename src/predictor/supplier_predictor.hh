@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <string>
 
-#include "net/probe_signature.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -56,36 +55,6 @@ class SupplierPredictor
 
     /** Predict whether the CMP can supply @p line. */
     virtual bool predict(Addr line) = 0;
-
-    /**
-     * predict() with the ring message's hash-once signature. Structures
-     * whose lookup is a bloom probe answer from the precomputed indices
-     * (pure bitmap loads); everything else — and any signature whose
-     * field count does not match this predictor's geometry — falls back
-     * to hashing the address. Observable answers are identical either
-     * way; the `probe_signature` / `probe_hashed` counters record which
-     * path ran.
-     */
-    virtual bool
-    predict(Addr line, const ProbeSignature &sig)
-    {
-        (void)sig;
-        _probeHashed.inc();
-        return predict(line);
-    }
-
-    /**
-     * Fill @p out (ProbeSignature::kMaxFields slots) with this
-     * predictor's filter indices for @p line; returns the field count,
-     * or 0 when the structure has no signature-capable lookup.
-     */
-    virtual unsigned
-    fillSignature(Addr line, std::uint32_t *out) const
-    {
-        (void)line;
-        (void)out;
-        return 0;
-    }
 
     /** A line entered the CMP's supplier set. */
     virtual void supplierGained(Addr line) = 0;
@@ -151,10 +120,6 @@ class SupplierPredictor
     Counter &_lookups = _stats.counter("lookups");
     Counter &_trains = _stats.counter("trains");
     Counter &_removals = _stats.counter("removals");
-    // Probe-path accounting: lookups answered from a carried signature
-    // vs. those that re-hashed the address.
-    Counter &_probeSignature = _stats.counter("probe_signature");
-    Counter &_probeHashed = _stats.counter("probe_hashed");
 
   private:
     // Per-gateway-check handles; every ring snoop decision records one.

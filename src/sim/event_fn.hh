@@ -30,7 +30,8 @@ class EventFn
 {
   public:
     /** Inline storage: sized so a ring-hop lambda (this + NodeId +
-     *  SnoopMessage) and the retry lambdas stay allocation-free. */
+     *  SnoopMessage) and the retry lambdas stay allocation-free. The
+     *  ring and gateway capture sites static_assert fitsInline(). */
     static constexpr std::size_t kInlineSize = 64;
 
     EventFn() noexcept = default;

@@ -150,39 +150,6 @@ TEST(BloomFilter, SingleFieldDegeneratesToDirectTable)
     EXPECT_TRUE(filter.mayContain(lineAt(3 + 64)));
 }
 
-TEST(BloomFilter, SignatureQueryMatchesAddressQuery)
-{
-    // The precomputed-index query path must answer exactly like the
-    // hashing path, for hits, misses and aliases alike.
-    CountingBloomFilter filter({9, 9, 6});
-    Rng rng(99);
-    for (int i = 0; i < 3000; ++i)
-        filter.insert(lineAt(rng.nextBelow(100000)));
-    for (int i = 0; i < 20000; ++i) {
-        const Addr line = lineAt(rng.nextBelow(120000));
-        std::uint32_t sig[ProbeSignature::kMaxFields];
-        ASSERT_EQ(filter.fillSignature(line, sig), 3u);
-        ASSERT_TRUE(filter.signatureMatches(line, sig));
-        ASSERT_EQ(filter.mayContain(sig), filter.mayContain(line));
-    }
-}
-
-TEST(BloomFilter, SharedGeometryFiltersAcceptForeignSignatures)
-{
-    // A signature computed against one filter instance answers
-    // correctly on any other instance with the same field widths — the
-    // property that lets one ring-issue-time signature serve every
-    // node's predictor on the traversal.
-    CountingBloomFilter source({10, 4, 7});
-    CountingBloomFilter sink({10, 4, 7});
-    sink.insert(lineAt(77));
-    std::uint32_t sig[ProbeSignature::kMaxFields];
-    source.fillSignature(lineAt(77), sig);
-    EXPECT_TRUE(sink.mayContain(sig));
-    source.fillSignature(lineAt(78), sig);
-    EXPECT_FALSE(sink.mayContain(sig));
-}
-
 TEST(BloomFilter, CounterSaturationIsStickyAndSafe)
 {
     // Drive one entry past the 16-bit ceiling: the counter pins at

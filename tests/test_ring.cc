@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/ring.hh"
+#include "sim/fault_injector.hh"
 
 namespace flexsnoop
 {
@@ -24,6 +26,37 @@ makeMsg(TransactionId txn, Addr line, NodeId requester)
     msg.line = line;
     msg.requester = requester;
     return msg;
+}
+
+/** A message with every field set away from its default. */
+SnoopMessage
+makeFullMsg(NodeId requester)
+{
+    SnoopMessage msg = makeMsg(0x0123456789abull, 0xfedcba9876540ull,
+                               requester);
+    msg.type = MsgType::SnoopRequest;
+    msg.kind = SnoopKind::Write;
+    msg.found = true;
+    msg.supplier = 3;
+    msg.squashed = true;
+    msg.acksCollected = 0x7654321u;
+    msg.visits = 0x1234567u;
+    return msg;
+}
+
+void
+expectSameMessage(const SnoopMessage &got, const SnoopMessage &want)
+{
+    EXPECT_EQ(got.type, want.type);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.txn, want.txn);
+    EXPECT_EQ(got.line, want.line);
+    EXPECT_EQ(got.requester, want.requester);
+    EXPECT_EQ(got.found, want.found);
+    EXPECT_EQ(got.supplier, want.supplier);
+    EXPECT_EQ(got.squashed, want.squashed);
+    EXPECT_EQ(got.acksCollected, want.acksCollected);
+    EXPECT_EQ(got.visits, want.visits);
 }
 
 TEST(Ring, DeliversToSuccessorAfterLinkLatency)
@@ -231,6 +264,76 @@ TEST(Ring, BackToBackSendsSpacedByExactlySerialization)
     // never more, never less.
     for (std::size_t i = 1; i < 4; ++i)
         EXPECT_EQ(arrivals[i] - arrivals[i - 1], 8u);
+}
+
+TEST(Ring, DuplicatedMessageArrivesIntactOneSerializationLater)
+{
+    EventQueue queue;
+    RingParams params;
+    params.linkLatency = 39;
+    params.serialization = 8;
+    Ring ring(queue, 4, params, "r");
+    FaultConfig cfg;
+    cfg.dupRate = 1.0; // every traversal is duplicated
+    FaultInjector faults(cfg);
+    ring.setFaultInjector(&faults);
+    std::vector<std::pair<Cycle, SnoopMessage>> arrivals;
+    ring.setHandler(1, [&](const SnoopMessage &m) {
+        arrivals.emplace_back(queue.now(), m);
+    });
+    const SnoopMessage sent = makeFullMsg(0);
+    ring.send(0, sent);
+    queue.run();
+    ASSERT_EQ(arrivals.size(), 2u);
+    EXPECT_EQ(arrivals[0].first, 39u);
+    EXPECT_EQ(arrivals[1].first, 39u + params.serialization);
+    expectSameMessage(arrivals[0].second, sent);
+    expectSameMessage(arrivals[1].second, sent);
+    EXPECT_EQ(ring.linkTraversals(), 2u);
+    EXPECT_EQ(faults.dupsInjected(), 1u);
+}
+
+TEST(Ring, HandlerResendsItsMessageWhileTheWheelGrows)
+{
+    // Each handler schedules enough filler events to more than double
+    // the wheel's arena (forcing its storage to reallocate), then
+    // re-sends the very message it was handed. The arrival event owns
+    // that message, so it must survive the growth and the re-send
+    // untouched.
+    EventQueue queue;
+    RingParams params;
+    params.linkLatency = 10;
+    Ring ring(queue, 5, params, "r");
+    const SnoopMessage sent = makeFullMsg(2);
+    std::vector<NodeId> visits;
+    std::size_t growths = 0;
+    SnoopMessage back_home;
+    std::size_t fillers_scheduled = 0;
+    std::size_t fillers_run = 0;
+    for (NodeId n = 0; n < 5; ++n) {
+        ring.setHandler(n, [&, n](const SnoopMessage &msg) {
+            visits.push_back(n);
+            if (n == msg.requester) {
+                back_home = msg;
+                return;
+            }
+            const std::size_t before = queue.wheel().arenaSlots();
+            for (std::size_t i = 0; i < 2 * before + 64; ++i) {
+                queue.schedule(1000, [&fillers_run]() { ++fillers_run; });
+                ++fillers_scheduled;
+            }
+            growths += queue.wheel().arenaSlots() > before ? 1 : 0;
+            ring.send(n, msg);
+            expectSameMessage(msg, sent);
+        });
+    }
+    ring.send(2, sent);
+    queue.run();
+    EXPECT_EQ(visits, (std::vector<NodeId>{3, 4, 0, 1, 2}));
+    EXPECT_EQ(growths, 4u);
+    EXPECT_EQ(fillers_run, fillers_scheduled);
+    expectSameMessage(back_home, sent);
+    EXPECT_EQ(ring.linkTraversals(), 5u);
 }
 
 } // namespace
